@@ -32,14 +32,14 @@ print("a(t2)(xt1) =", anchor_derivation(data.classical, t2, parse("xt1", tn)))
 # The classical model passes the whole axiom battery.
 print()
 print("classical model:")
-print(check_axioms(data.classical, seed=1, samples=10))
+print(check_axioms(data.classical, seed=1, samples=10).text())
 
 # Twisting the base maps breaks two of the four identities; the
 # report says which and leaves a witness.
 print()
 print("model with reflected base maps:")
 rep = check_axioms(data.generalized, seed=1, samples=10)
-print(rep)
+print(rep.text())
 print("anchor witness:", rep.item("anchor-morphism").witnesses[0])
 
 # ------------------------------------------------------------------
@@ -65,11 +65,11 @@ x = plain.derivation(["x2", "1"])
 y = plain.derivation(["x1*x2", "x1"])
 print()
 print("[X, Y] with rho = I:", bullet_bracket(plain, x, y))
-print("identity rho:", check_bullet_jacobi(plain, seed=3, samples=5))
+print("identity rho:", check_bullet_jacobi(plain, seed=3, samples=5).text())
 
 twisted = BulletInstance(
     plane, FMatrix([[parse("x2", pn), parse("0", pn)], [parse("0", pn), parse("1", pn)]])
 )
 rep = check_bullet_jacobi(twisted, seed=3, samples=5)
 print("rho = diag(x2, 1):")
-print(rep)
+print(rep.text())

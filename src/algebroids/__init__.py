@@ -46,7 +46,6 @@ from .bundle import (
 )
 from .algebroid import (
     AlgebroidModel,
-    AxiomReport,
     BulletInstance,
     anchor_derivation,
     bracket,
@@ -107,7 +106,6 @@ __all__ = [
     "compose",
     "identity_morphism",
     "AlgebroidModel",
-    "AxiomReport",
     "BulletInstance",
     "anchor_derivation",
     "bracket",

@@ -40,12 +40,11 @@ from .bundle import (
     tangent_bundle,
 )
 from .matcalc import FMatrix
+from .report import CheckResult, Report
 from .symexpr import Expr
 
 __all__ = [
     "AlgebroidModel",
-    "AxiomReport",
-    "CheckItem",
     "BulletInstance",
     "anchor_derivation",
     "induced_anchor",
@@ -59,42 +58,6 @@ __all__ = [
 
 _ZERO = Expr.constant(0)
 _ONE = Expr.constant(1)
-
-
-@dataclass(frozen=True)
-class CheckItem:
-    """One named verdict inside an AxiomReport."""
-
-    name: str
-    passed: bool
-    witnesses: tuple = ()
-
-    def __str__(self):
-        if self.passed:
-            return "PASS %s" % self.name
-        shown = "; ".join(self.witnesses[:3])
-        more = len(self.witnesses) - 3
-        if more > 0:
-            shown += "; and %d more" % more
-        return "FAIL %s: %s" % (self.name, shown)
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    items: tuple
-
-    @property
-    def ok(self):
-        return all(item.passed for item in self.items)
-
-    def item(self, name):
-        for it in self.items:
-            if it.name == name:
-                return it
-        raise KeyError(name)
-
-    def __str__(self):
-        return "\n".join(str(item) for item in self.items)
 
 
 @dataclass(frozen=True)
@@ -309,23 +272,19 @@ def check_axioms(model, seed=0, samples=20):
         u = _random_section(rng, bundle)
         if not bracket(model, u, u).is_zero():
             witnesses.append("[u,u] != 0 for u = %s" % u)
-    items.append(CheckItem("antisymmetry", not witnesses, tuple(witnesses)))
+    items.append(CheckResult("antisymmetry", not witnesses, tuple(witnesses)))
 
-    witnesses = []
-    for i, j, k in combinations(range(r), 3):
-        res = _jacobi_residual(model, frames[i], frames[j], frames[k])
-        if not res.is_zero():
-            witnesses.append(
-                "cycle on (%s,%s,%s) leaves %s"
-                % (bundle.frame[i], bundle.frame[j], bundle.frame[k], res)
-            )
+    def br(u, v):
+        return bracket(model, u, v)
+
+    witnesses = _frame_cycles(br, bundle)
     for _ in range(max(2, samples // 4)):
         u, v, z = (_random_section(rng, bundle) for _ in range(3))
-        res = _jacobi_residual(model, u, v, z)
+        res = _jacobi_residual(br, u, v, z)
         if not res.is_zero():
             witnesses.append("cycle on random sections leaves %s" % res)
             break
-    items.append(CheckItem("jacobi", not witnesses, tuple(witnesses)))
+    items.append(CheckResult("jacobi", not witnesses, tuple(witnesses)))
 
     witnesses = []
     fs = [Expr.variable(c) for c in coords]
@@ -353,7 +312,7 @@ def check_axioms(model, seed=0, samples=20):
         if not residual.is_zero():
             witnesses.append("Leibniz fails on random sections, residual %s" % residual)
             break
-    items.append(CheckItem("leibniz", not witnesses, tuple(witnesses)))
+    items.append(CheckResult("leibniz", not witnesses, tuple(witnesses)))
 
     witnesses = []
     for a in range(r):
@@ -381,18 +340,28 @@ def check_axioms(model, seed=0, samples=20):
         if lhs != rhs:
             witnesses.append("anchor-morphism fails on random sections for f = %s" % f)
             break
-    items.append(CheckItem("anchor-morphism", not witnesses, tuple(witnesses)))
+    items.append(CheckResult("anchor-morphism", not witnesses, tuple(witnesses)))
 
-    return AxiomReport(tuple(items))
+    return Report(items)
 
 
-def _jacobi_residual(model, u, v, z):
-    # [u,[v,z]] + [z,[u,v]] + [v,[z,u]]
-    return (
-        bracket(model, u, bracket(model, v, z))
-        + bracket(model, z, bracket(model, u, v))
-        + bracket(model, v, bracket(model, z, u))
-    )
+def _jacobi_residual(br, u, v, z):
+    # [u,[v,z]] + [z,[u,v]] + [v,[z,u]] for the bracket br
+    return br(u, br(v, z)) + br(z, br(u, v)) + br(v, br(z, u))
+
+
+def _frame_cycles(br, bundle):
+    """Witnesses of the Jacobi cycle of br failing on frame triples."""
+    frames = [bundle.frame_section(i) for i in range(bundle.rank)]
+    witnesses = []
+    for i, j, k in combinations(range(bundle.rank), 3):
+        res = _jacobi_residual(br, frames[i], frames[j], frames[k])
+        if not res.is_zero():
+            witnesses.append(
+                "cycle on (%s,%s,%s) leaves %s"
+                % (bundle.frame[i], bundle.frame[j], bundle.frame[k], res)
+            )
+    return witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -486,27 +455,14 @@ def check_bullet_jacobi(inst, seed=0, samples=10):
     """
     rng = random.Random(seed)
     bundle = inst.bundle
-    m = inst.chart.dim
-    basis = [bundle.frame_section(i) for i in range(m)]
-    witnesses = []
 
-    def residual(x, y, z):
-        return (
-            bullet_bracket(inst, x, bullet_bracket(inst, y, z))
-            + bullet_bracket(inst, z, bullet_bracket(inst, x, y))
-            + bullet_bracket(inst, y, bullet_bracket(inst, z, x))
-        )
+    def br(x, y):
+        return bullet_bracket(inst, x, y)
 
-    for i, j, k in combinations(range(m), 3):
-        res = residual(basis[i], basis[j], basis[k])
-        if not res.is_zero():
-            witnesses.append(
-                "cycle on (%s,%s,%s) leaves %s"
-                % (bundle.frame[i], bundle.frame[j], bundle.frame[k], res)
-            )
+    witnesses = _frame_cycles(br, bundle)
     for _ in range(samples):
         x, y, z = (_random_section(rng, bundle) for _ in range(3))
-        res = residual(x, y, z)
+        res = _jacobi_residual(br, x, y, z)
         if not res.is_zero():
             witnesses.append("cycle on random derivations leaves %s" % res)
-    return AxiomReport((CheckItem("jacobi", not witnesses, tuple(witnesses)),))
+    return Report([CheckResult("jacobi", not witnesses, tuple(witnesses))])

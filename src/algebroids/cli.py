@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from importlib import resources
 
 from .algebroid import check_axioms, induced_anchor
 from .bundle import (
@@ -33,7 +32,7 @@ from .bundle import (
     tangent_bundle,
     tangent_lift,
 )
-from .control import TrajectoryError, _compile, integrate, solve_el
+from .control import RegularityError, Trajectory, TrajectoryError, integrate, solve_el
 from .matcalc import (
     FMatrix,
     RankDropWarning,
@@ -43,12 +42,10 @@ from .matcalc import (
 )
 from .report import Report
 from .scenario import ScenarioError, load_scenario
-from .symexpr import Expr, ExprError
-from .verify import verify_paper
+from .symexpr import Expr, ExprError, compile_expr
+from .verify import BUNDLED_SCENARIO, verify_paper
 
 __all__ = ["run", "main"]
-
-_BUNDLED = "worked_example.scn"
 
 
 def _build_parser():
@@ -58,76 +55,69 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument(
-                "--scenario",
-                metavar="PATH",
-                help="scenario file (default: the bundled worked example)",
-            )
+    def common(p):
         p.add_argument(
             "--out", metavar="PATH", help="write CSV or report here instead of stdout"
         )
         p.add_argument(
             "--json", action="store_true", help="emit the report as JSON"
         )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="override the scenario's random seed",
-        )
+        return p
 
-    common(sub.add_parser("check", help="run axiom checks on the scenario model"))
-    common(sub.add_parser("compose", help="compose declared morphisms and verify"))
-    p_pinv = sub.add_parser("pinv", help="left pseudo-inverse of a named matrix")
-    common(p_pinv)
-    p_pinv.add_argument("--matrix", required=True, help="matrix name in the scenario")
-    common(sub.add_parser("simulate", help="integrate the control system to CSV"))
-    common(
-        sub.add_parser(
-            "euler-lagrange", help="integrate the variational problem to CSV"
+    def scenario_command(name, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(
+            "--scenario",
+            metavar="PATH",
+            help="scenario file (default: the bundled worked example)",
         )
+        return common(p)
+
+    scenario_command("check", "run axiom checks on the scenario model").add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="override the scenario's random seed",
     )
+    scenario_command("compose", "compose declared morphisms and verify")
+    scenario_command("pinv", "left pseudo-inverse of a named matrix").add_argument(
+        "--matrix", required=True, help="matrix name in the scenario"
+    )
+    scenario_command("simulate", "integrate the control system to CSV")
+    scenario_command("euler-lagrange", "integrate the variational problem to CSV")
     common(sub.add_parser("verify-paper", help="re-derive the worked example"))
     return parser
 
 
-def _bundled_scenario_path():
-    return resources.files("algebroids").joinpath("scenarios", _BUNDLED)
-
-
 def _load(args):
-    if args.scenario is None:
-        path = _bundled_scenario_path()
-    else:
-        path = args.scenario
-    return load_scenario(path)
+    return load_scenario(BUNDLED_SCENARIO if args.scenario is None else args.scenario)
 
 
-def _emit_report(report, args, csv_used_stdout=False):
+def _emit(report, output, args):
+    """Route a command's primary output and its report (see the README).
+
+    A trajectory goes as CSV to --out or stdout; its report then goes
+    to stdout or, when the CSV holds stdout, to stderr.  Any other
+    output is text (the pinv matrix) printed ahead of the report, and
+    both go to --out or stdout; in JSON mode the report stands alone.
+    """
     payload = report.json() if args.json else report.text()
-    out = getattr(args, "out", None)
-    if out and not csv_used_stdout and args.command not in (
-        "simulate",
-        "euler-lagrange",
-    ):
-        with open(out, "w") as f:
-            f.write(payload + "\n")
-    elif csv_used_stdout:
-        print(payload, file=sys.stderr)
-    else:
-        print(payload)
-
-
-def _emit_csv(traj, args):
-    """Write the trajectory; return True when it went to stdout."""
+    if isinstance(output, Trajectory):
+        if args.out:
+            with open(args.out, "w") as f:
+                output.write_csv(f)
+            print(payload)
+        else:
+            output.write_csv(sys.stdout)
+            print(payload, file=sys.stderr)
+        return
+    if output is not None and not args.json:
+        payload = output + "\n" + payload
     if args.out:
         with open(args.out, "w") as f:
-            traj.write_csv(f)
-        return False
-    traj.write_csv(sys.stdout)
-    return True
+            f.write(payload + "\n")
+    else:
+        print(payload)
 
 
 def _cmd_check(args):
@@ -135,11 +125,7 @@ def _cmd_check(args):
     if scen.model is None:
         raise ScenarioError("scenario declares no frame and anchor to check")
     seed = scen.seed if args.seed is None else args.seed
-    axioms = check_axioms(scen.model, seed=seed, samples=scen.samples)
-    report = Report()
-    report.extend_axioms(axioms)
-    _emit_report(report, args)
-    return (0 if report.all_passed else 1), report
+    return check_axioms(scen.model, seed=seed, samples=scen.samples), None
 
 
 def _sample_sections(bundle):
@@ -193,8 +179,7 @@ def _cmd_compose(args):
                     witness = "acts differently on %s" % z
                     break
             report.add(name, ok, witness)
-    _emit_report(report, args)
-    return (0 if report.all_passed else 1), report
+    return report, None
 
 
 def _cmd_pinv(args):
@@ -205,6 +190,7 @@ def _cmd_pinv(args):
             % (args.matrix, ", ".join(sorted(scen.matrices)) or "none")
         )
     mat = scen.matrices[args.matrix]
+    name = "left-inverse %s" % args.matrix
     report = Report()
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -213,26 +199,13 @@ def _cmd_pinv(args):
         for w in caught:
             print("note: %s" % w.message, file=sys.stderr)
     except SingularMatrixError as err:
-        report.add("left-inverse %s" % args.matrix, False, str(err))
-        _emit_report(report, args)
-        return 1, report
-    identity_ok = matmul(left, mat) == FMatrix.identity(mat.ncols)
-    if identity_ok:
-        witness = str(left)
+        report.add(name, False, str(err))
+        return report, None
+    if matmul(left, mat) == FMatrix.identity(mat.ncols):
+        report.add(name, True, str(left))
     else:
-        witness = "product with %s is not the identity" % args.matrix
-    report.add("left-inverse %s" % args.matrix, identity_ok, witness)
-    if not args.json:
-        lines = str(left)
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(lines + "\n" + report.text() + "\n")
-        else:
-            print(lines)
-            print(report.text())
-    else:
-        _emit_report(report, args)
-    return (0 if identity_ok else 1), report
+        report.add(name, False, "product with %s is not the identity" % args.matrix)
+    return report, str(left)
 
 
 def _cmd_simulate(args):
@@ -241,7 +214,7 @@ def _cmd_simulate(args):
         raise ScenarioError("scenario lacks a [control] or [simulate] block")
     if not scen.controls:
         raise ScenarioError("scenario lacks a [controls] block")
-    funs = [_compile(scen.controls[u], ("t",)) for u in scen.control.inputs]
+    funs = [compile_expr(scen.controls[u], ("t",)) for u in scen.control.inputs]
 
     def signal(t):
         return [f(t) for f in funs]
@@ -253,15 +226,13 @@ def _cmd_simulate(args):
         scen.simulate.horizon,
         scen.simulate.dt,
     )
-    used_stdout = _emit_csv(traj, args)
     report = Report()
     report.add(
         "simulate",
         True,
         "%d samples, final cost %.12g" % (len(traj.times), traj.final_cost),
     )
-    _emit_report(report, args, csv_used_stdout=used_stdout)
-    return 0, report
+    return report, traj
 
 
 def _cmd_el(args):
@@ -269,21 +240,13 @@ def _cmd_el(args):
     if scen.el is None:
         raise ScenarioError("scenario lacks an [euler_lagrange] block")
     traj = solve_el(scen.el)
-    used_stdout = _emit_csv(traj, args)
     report = Report()
     report.add(
         "euler-lagrange",
         True,
         "%d samples, energy drift %.3g" % (len(traj.times), traj.energy_drift()),
     )
-    _emit_report(report, args, csv_used_stdout=used_stdout)
-    return 0, report
-
-
-def _cmd_verify(args):
-    report = verify_paper()
-    _emit_report(report, args)
-    return (0 if report.all_passed else 1), report
+    return report, traj
 
 
 _COMMANDS = {
@@ -292,7 +255,7 @@ _COMMANDS = {
     "pinv": _cmd_pinv,
     "simulate": _cmd_simulate,
     "euler-lagrange": _cmd_el,
-    "verify-paper": _cmd_verify,
+    "verify-paper": lambda args: (verify_paper(), None),
 }
 
 
@@ -304,19 +267,25 @@ def run(argv):
     except SystemExit as err:
         return (0 if not err.code else 2), None
     try:
-        status, report = _COMMANDS[args.command](args)
-    except (ScenarioError, TrajectoryError) as err:
+        report, output = _COMMANDS[args.command](args)
+        _emit(report, output, args)
+    except (
+        ScenarioError,
+        TrajectoryError,
+        RegularityError,
+        GeometryError,
+        ExprError,
+        OSError,
+    ) as err:
         print("error: %s" % err, file=sys.stderr)
         return 3, None
-    except (GeometryError, ExprError) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 3, None
-    except OSError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 3, None
-    return status, report
+    return (0 if report.all_passed else 1), report
 
 
 def main():
     status, _ = run(sys.argv[1:])
     sys.exit(status)
+
+
+if __name__ == "__main__":
+    main()

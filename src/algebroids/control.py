@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .algebroid import AlgebroidModel
 from .bundle import Chart, GeometryError
 from .matcalc import FMatrix, determinant
-from .symexpr import Expr
+from .symexpr import Expr, compile_expr
 
 __all__ = [
     "ControlSystem",
@@ -45,34 +44,6 @@ class TrajectoryError(Exception):
 
 class RegularityError(Exception):
     """The velocity Hessian of the Lagrangian is singular."""
-
-
-def _compile(expr, names):
-    """Turn an Expr into a float function of the given argument names."""
-    index = {name: i for i, name in enumerate(names)}
-    slots = [index[v] for v in expr.vars]
-
-    def poly_src(p):
-        if not p:
-            return "0.0"
-        terms = []
-        for mono, c in sorted(p.items()):
-            parts = [repr(float(c))]
-            for i, e in enumerate(mono):
-                if e == 1:
-                    parts.append("a%d" % slots[i])
-                elif e:
-                    parts.append("a%d**%d" % (slots[i], e))
-            terms.append("*".join(parts))
-        return " + ".join(terms)
-
-    args = ", ".join("a%d" % i for i in range(len(names)))
-    num = poly_src(expr.num)
-    if expr.den == {(0,) * len(expr.vars): Fraction(1)}:
-        body = num
-    else:
-        body = "(%s) / (%s)" % (num, poly_src(expr.den))
-    return eval("lambda %s: %s" % (args, body), {})
 
 
 @dataclass(frozen=True)
@@ -198,27 +169,43 @@ class Trajectory:
             f.write(line + "\n")
 
 
-def _rk4(f, y0, horizon, dt):
-    """Fixed-step RK4; returns the list of (t, y) samples including t=0."""
+def _rk4(f, sample, y0, horizon, dt, what):
+    """Fixed-step RK4 of y' = f(t, y), sampled at t = 0 and after every step.
+
+    The last component of y is the running cost; sample(t, y) gives the
+    state, velocity and energy of one sample.  A division by zero while
+    stepping or sampling is a pole of the system and ends the run with
+    a TrajectoryError.  Returns the Trajectory columns times, states,
+    velocities, energies and costs.
+    """
     steps = int(round(float(horizon) / float(dt)))
     if steps <= 0:
         raise ValueError("horizon must cover at least one step")
     h = float(dt)
     t = 0.0
     y = list(y0)
-    out = [(0.0, list(y))]
-    for i in range(steps):
-        k1 = f(t, y)
-        k2 = f(t + h / 2, _axpy(y, h / 2, k1))
-        k3 = f(t + h / 2, _axpy(y, h / 2, k2))
-        k4 = f(t + h, _axpy(y, h, k3))
-        y = [
-            yi + (h / 6) * (a + 2 * b + 2 * c + d)
-            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-        ]
-        t = (i + 1) * h
-        out.append((t, list(y)))
-    return out
+    columns = times, states, vels, energies, costs = [], [], [], [], []
+    try:
+        for i in range(steps + 1):
+            if i:
+                k1 = f(t, y)
+                k2 = f(t + h / 2, _axpy(y, h / 2, k1))
+                k3 = f(t + h / 2, _axpy(y, h / 2, k2))
+                k4 = f(t + h, _axpy(y, h, k3))
+                y = [
+                    yi + (h / 6) * (a + 2 * b + 2 * c + d)
+                    for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+                ]
+                t = i * h
+            x, v, e = sample(t, y)
+            times.append(t)
+            states.append(x)
+            vels.append(v)
+            energies.append(e)
+            costs.append(y[-1])
+    except ZeroDivisionError:
+        raise TrajectoryError("pole in %s" % what, t, y[:-1]) from None
+    return tuple(tuple(column) for column in columns)
 
 
 def _axpy(y, a, k):
@@ -227,48 +214,29 @@ def _axpy(y, a, k):
 
 def integrate(system, controls, x0, horizon, dt):
     """RK4 trajectory of xdot = M(x) * y(t) with running cost int L dt."""
-    chart = system.chart
-    n = chart.dim
-    names = chart.coords
-    m_funs = [[_compile(e, names) for e in row] for row in system.matrix.entries]
+    names = system.chart.coords
+    n = len(names)
     all_names = names + system.inputs
-    l_fun = _compile(system.lagrangian, all_names)
-    e_expr = _energy_expr(system.lagrangian, system.inputs)
-    e_fun = _compile(e_expr, all_names)
+    m_funs = [[compile_expr(e, names) for e in row] for row in system.matrix.entries]
+    l_fun = compile_expr(system.lagrangian, all_names)
+    e_fun = compile_expr(_energy_expr(system.lagrangian, system.inputs), all_names)
 
     def f(t, y):
         x = y[:n]
         u = [float(v) for v in controls(t)]
-        try:
-            rows = [[fun(*x) for fun in row] for row in m_funs]
-            lval = l_fun(*x, *u)
-        except ZeroDivisionError:
-            raise TrajectoryError("pole in system matrix", t, x) from None
+        rows = [[fun(*x) for fun in row] for row in m_funs]
         xdot = [sum(rows[i][j] * u[j] for j in range(n)) for i in range(n)]
-        return xdot + [lval]
+        return xdot + [l_fun(*x, *u)]
 
-    samples = _rk4(f, list(map(float, x0)) + [0.0], horizon, dt)
-    times, states, vels, energies, costs = [], [], [], [], []
-    for t, y in samples:
+    def sample(t, y):
         x = y[:n]
         u = [float(v) for v in controls(t)]
-        times.append(t)
-        states.append(tuple(x))
-        vels.append(tuple(u))
-        try:
-            energies.append(e_fun(*x, *u))
-        except ZeroDivisionError:
-            raise TrajectoryError("pole in energy function", t, x) from None
-        costs.append(y[n])
-    return Trajectory(
-        tuple(times),
-        tuple(states),
-        tuple(vels),
-        tuple(energies),
-        tuple(costs),
-        names,
-        system.inputs,
-    )
+        return tuple(x), tuple(u), e_fun(*x, *u)
+
+    y0 = list(map(float, x0)) + [0.0]
+    what = "system matrix, Lagrangian or input signal"
+    columns = _rk4(f, sample, y0, horizon, dt, what)
+    return Trajectory(*columns, names, system.inputs)
 
 
 def _energy_expr(lagrangian, velocity_names):
@@ -279,34 +247,74 @@ def _energy_expr(lagrangian, velocity_names):
     return e
 
 
-@lru_cache(maxsize=32)
 def _el_runtime(model, lagrangian, velocities):
     coords = model.bundle.base.coords
     r = model.bundle.rank
     n = len(coords)
     names = coords + velocities
-    rho = [[_compile(model.anchor[a, i], coords) for i in range(n)] for a in range(r)]
-    dldz = [_compile(lagrangian.diff(z), names) for z in velocities]
-    dldx = [_compile(lagrangian.diff(x), names) for x in coords]
+    rho = [
+        [compile_expr(model.anchor[a, i], coords) for i in range(n)] for a in range(r)
+    ]
+    dldz = [compile_expr(lagrangian.diff(z), names) for z in velocities]
+    dldx = [compile_expr(lagrangian.diff(x), names) for x in coords]
     hess = [
-        [_compile(lagrangian.diff(a).diff(b), names) for b in velocities]
+        [compile_expr(lagrangian.diff(a).diff(b), names) for b in velocities]
         for a in velocities
     ]
     mixed = [
-        [_compile(lagrangian.diff(z).diff(x), names) for x in coords]
+        [compile_expr(lagrangian.diff(z).diff(x), names) for x in coords]
         for z in velocities
     ]
     # c[g][b][a] = C^a_{g b}, the coefficient pattern the z-equation needs.
     c = [
         [
-            [_compile(model.structure[g][b][a], coords) for a in range(r)]
+            [compile_expr(model.structure[g][b][a], coords) for a in range(r)]
             for b in range(r)
         ]
         for g in range(r)
     ]
-    l_fun = _compile(lagrangian, names)
-    e_fun = _compile(_energy_expr(lagrangian, velocities), names)
+    l_fun = compile_expr(lagrangian, names)
+    e_fun = compile_expr(_energy_expr(lagrangian, velocities), names)
     return rho, dldz, dldx, hess, mixed, c, l_fun, e_fun
+
+
+def _el_field(problem):
+    """Compile the Lagrange equations once: (field, l_fun, e_fun).
+
+    field(x, z) returns (xdot, zdot) for float lists x and z.
+    """
+    rho, dldz, dldx, hess, mixed, c, l_fun, e_fun = _el_runtime(
+        problem.model, problem.lagrangian, problem.velocities
+    )
+
+    def field(x, z):
+        n, r = len(x), len(z)
+        rho_vals = [[rho[a][i](*x) for i in range(n)] for a in range(r)]
+        xdot = [sum(z[a] * rho_vals[a][i] for a in range(r)) for i in range(n)]
+        dldz_vals = [f(*x, *z) for f in dldz]
+        dldx_vals = [f(*x, *z) for f in dldx]
+        b = []
+        for g in range(r):
+            total = sum(rho_vals[g][i] * dldx_vals[i] for i in range(n))
+            for beta in range(r):
+                if z[beta] == 0.0:
+                    continue
+                for alpha in range(r):
+                    cv = c[g][beta][alpha](*x)
+                    if cv:
+                        total -= cv * z[beta] * dldz_vals[alpha]
+            total -= sum(mixed[g][i](*x, *z) * xdot[i] for i in range(n))
+            b.append(total)
+        h_mat = np.array([[hess[a][s](*x, *z) for s in range(r)] for a in range(r)])
+        try:
+            zdot = np.linalg.solve(h_mat, np.array(b))
+        except np.linalg.LinAlgError:
+            raise RegularityError(
+                "velocity Hessian is singular at state %s" % ((tuple(x), tuple(z)),)
+            ) from None
+        return xdot, [float(v) for v in zdot]
+
+    return field, l_fun, e_fun
 
 
 def el_rhs(problem, x, z):
@@ -319,71 +327,28 @@ def el_rhs(problem, x, z):
 
     with H the velocity Hessian, inverted numerically at the state.
     """
-    rho, dldz, dldx, hess, mixed, c, _, _ = _el_runtime(
-        problem.model, problem.lagrangian, problem.velocities
-    )
-    x = [float(v) for v in x]
-    z = [float(v) for v in z]
-    n, r = len(x), len(z)
-    rho_vals = [[rho[a][i](*x) for i in range(n)] for a in range(r)]
-    xdot = [sum(z[a] * rho_vals[a][i] for a in range(r)) for i in range(n)]
-    dldz_vals = [f(*x, *z) for f in dldz]
-    dldx_vals = [f(*x, *z) for f in dldx]
-    b = []
-    for g in range(r):
-        total = sum(rho_vals[g][i] * dldx_vals[i] for i in range(n))
-        for beta in range(r):
-            if z[beta] == 0.0:
-                continue
-            for alpha in range(r):
-                cv = c[g][beta][alpha](*x)
-                if cv:
-                    total -= cv * z[beta] * dldz_vals[alpha]
-        total -= sum(mixed[g][i](*x, *z) * xdot[i] for i in range(n))
-        b.append(total)
-    h_mat = np.array([[hess[a][s](*x, *z) for s in range(r)] for a in range(r)])
-    try:
-        zdot = np.linalg.solve(h_mat, np.array(b))
-    except np.linalg.LinAlgError:
-        raise RegularityError(
-            "velocity Hessian is singular at state %s" % ((tuple(x), tuple(z)),)
-        ) from None
-    return xdot, [float(v) for v in zdot]
+    field, _, _ = _el_field(problem)
+    return field([float(v) for v in x], [float(v) for v in z])
 
 
 def solve_el(problem):
     """RK4 trajectory of the Lagrange flow, with energy per sample."""
-    model = problem.model
-    coords = model.bundle.base.coords
-    n, r = len(coords), model.bundle.rank
-    _, _, _, _, _, _, l_fun, e_fun = _el_runtime(
-        model, problem.lagrangian, problem.velocities
-    )
+    coords = problem.model.bundle.base.coords
+    n, r = len(coords), problem.model.bundle.rank
+    field, l_fun, e_fun = _el_field(problem)
 
     def f(t, y):
         x, z = y[:n], y[n : n + r]
-        xdot, zdot = el_rhs(problem, x, z)
+        xdot, zdot = field(x, z)
         return xdot + zdot + [l_fun(*x, *z)]
 
-    y0 = list(map(float, problem.x0)) + list(map(float, problem.z0)) + [0.0]
-    samples = _rk4(f, y0, problem.horizon, problem.dt)
-    times, states, vels, energies, costs = [], [], [], [], []
-    for t, y in samples:
+    def sample(t, y):
         x, z = y[:n], y[n : n + r]
-        times.append(t)
-        states.append(tuple(x))
-        vels.append(tuple(z))
-        energies.append(e_fun(*x, *z))
-        costs.append(y[n + r])
-    return Trajectory(
-        tuple(times),
-        tuple(states),
-        tuple(vels),
-        tuple(energies),
-        tuple(costs),
-        coords,
-        problem.velocities,
-    )
+        return tuple(x), tuple(z), e_fun(*x, *z)
+
+    y0 = list(map(float, problem.x0)) + list(map(float, problem.z0)) + [0.0]
+    columns = _rk4(f, sample, y0, problem.horizon, problem.dt, "the Lagrange equations")
+    return Trajectory(*columns, coords, problem.velocities)
 
 
 def verify_transform(sys_a, sys_b, cmap):

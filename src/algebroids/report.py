@@ -1,4 +1,4 @@
-"""Check reports shared by the command-line front end and the verifier.
+"""Check reports shared by the checkers, the command-line front end and the verifier.
 
 A Report is a flat list of named pass/fail results with witness
 strings, renderable as text (one line per check) or as the JSON list
@@ -13,9 +13,16 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One named verdict; a failing one carries its witnesses."""
+
     check: str
     passed: bool
-    witness: str = ""
+    witnesses: tuple = ()
+
+    @property
+    def witness(self):
+        """The first three witnesses, joined into one line."""
+        return "; ".join(self.witnesses[:3])
 
     def line(self):
         if self.passed:
@@ -28,12 +35,15 @@ class Report:
     results: list = field(default_factory=list)
 
     def add(self, check, passed, witness=""):
-        self.results.append(CheckResult(check, bool(passed), witness))
+        witnesses = (witness,) if witness else ()
+        self.results.append(CheckResult(check, bool(passed), witnesses))
 
-    def extend_axioms(self, axiom_report, prefix=""):
-        """Fold an AxiomReport's items into this report."""
-        for item in axiom_report.items:
-            self.add(prefix + item.name, item.passed, "; ".join(item.witnesses[:3]))
+    def item(self, check):
+        """The result of the named check."""
+        for r in self.results:
+            if r.check == check:
+                return r
+        raise KeyError(check)
 
     @property
     def all_passed(self):

@@ -34,6 +34,7 @@ __all__ = [
     "substitute",
     "evaluate",
     "equals",
+    "compile_expr",
 ]
 
 
@@ -82,11 +83,6 @@ def _pisone(p):
     return c == 1 and not any(mono)
 
 
-def _pconst(value, arity):
-    c = Fraction(value)
-    return {(0,) * arity: c} if c else {}
-
-
 def _padd(p, q):
     out = dict(p)
     for mono, c in q.items():
@@ -133,15 +129,19 @@ def _pmul(p, q):
 
 
 def _ppow(p, k):
-    arity = len(next(iter(p))) if p else 0
-    out = _pone(arity)
-    base = p
-    while k:
-        if k & 1:
-            out = _pmul(out, base)
+    """p^k for a nonzero poly p, by binary powering; p^0 is the constant 1."""
+    if not k:
+        return {(0,) * len(next(iter(p))): 1}
+    while not k & 1:
+        p = _pmul(p, p)
         k >>= 1
-        if k:
-            base = _pmul(base, base)
+    out = p
+    k >>= 1
+    while k:
+        p = _pmul(p, p)
+        if k & 1:
+            out = _pmul(out, p)
+        k >>= 1
     return out
 
 
@@ -169,11 +169,27 @@ def _peval(p, vals):
 
 
 def _pdivexact(p, d):
-    """Divide p by d, assuming the division is exact."""
-    if _pisone(d):
+    """Divide p by d; raises ArithmeticError unless the division is exact.
+
+    Integer polys (those inside _zgcd) are divided with divmod and stay
+    integer; polys with Fraction coefficients are divided over Q.
+    """
+    if not p:
         return p
+    integral = isinstance(next(iter(p.values())), int)
     if _pisconst(d):
-        return _pscale(p, Fraction(1) / d[_plead(d)])
+        c = d[next(iter(d))]
+        if c == 1:
+            return p
+        if not integral:
+            return _pscale(p, Fraction(1) / c)
+        out = {}
+        for m, v in p.items():
+            quot, rem = divmod(v, c)
+            if rem:
+                raise ArithmeticError("inexact integer polynomial division")
+            out[m] = quot
+        return out
     quot = {}
     rem = dict(p)
     dlead = _plead(d)
@@ -183,7 +199,12 @@ def _pdivexact(p, d):
         mono = tuple(a - b for a, b in zip(rlead, dlead))
         if any(e < 0 for e in mono):
             raise ArithmeticError("inexact polynomial division")
-        c = rem[rlead] / dlc
+        if integral:
+            c, leftover = divmod(rem[rlead], dlc)
+            if leftover:
+                raise ArithmeticError("inexact integer polynomial division")
+        else:
+            c = rem[rlead] / dlc
         quot[mono] = c
         # rem -= c * x^mono * d
         for dm, dc in d.items():
@@ -255,7 +276,7 @@ def _uprem(a, b):
             else:
                 a.pop(key, None)
     if a and needed > steps:
-        lbp = _zpow(lb, needed - steps)
+        lbp = _ppow(lb, needed - steps)
         a = {e: _pmul(c, lbp) for e, c in a.items()}
     return a
 
@@ -276,51 +297,6 @@ def _zcontent(p):
         if g == 1:
             break
     return g
-
-
-def _zdivexact(p, d):
-    """Exact division of integer polys; raises if the division fails."""
-    if not p:
-        return p
-    if _pisconst(d):
-        c = d[next(iter(d))]
-        if c == 1:
-            return p
-        out = {}
-        for m, v in p.items():
-            quot, rem = divmod(v, c)
-            if rem:
-                raise ArithmeticError("inexact integer polynomial division")
-            out[m] = quot
-        return out
-    quot = {}
-    rem = dict(p)
-    dlead = _plead(d)
-    dlc = d[dlead]
-    while rem:
-        rlead = _plead(rem)
-        mono = tuple(x - y for x, y in zip(rlead, dlead))
-        if any(e < 0 for e in mono):
-            raise ArithmeticError("inexact polynomial division")
-        c, leftover = divmod(rem[rlead], dlc)
-        if leftover:
-            raise ArithmeticError("inexact integer polynomial division")
-        quot[mono] = c
-        for dm, dc in d.items():
-            key = tuple(x + y for x, y in zip(mono, dm))
-            s = rem.get(key, 0) - c * dc
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return quot
-
-
-def _zpow(p, k):
-    out = {(0,) * len(next(iter(p))): 1} if k == 0 else p
-    for _ in range(k - 1):
-        out = _pmul(out, p)
-    return out
 
 
 def _zucontent(u):
@@ -354,8 +330,8 @@ def _zgcd(p, q):
     up, uq = _to_univ(p, i), _to_univ(q, i)
     cp, cq = _zucontent(up), _zucontent(uq)
     content = _zgcd(cp, cq)
-    a = {e: _zdivexact(k, cp) for e, k in up.items()}
-    b = {e: _zdivexact(k, cq) for e, k in uq.items()}
+    a = {e: _pdivexact(k, cp) for e, k in up.items()}
+    b = {e: _pdivexact(k, cq) for e, k in uq.items()}
     if max(a) < max(b):
         a, b = b, a
     one = {(0,) * arity: 1}
@@ -369,16 +345,16 @@ def _zgcd(p, q):
             break
         if max(r) == 0:
             break
-        divisor = _pmul(g, _zpow(h, delta))
-        a, b = b, {e: _zdivexact(k, divisor) for e, k in r.items()}
+        divisor = _pmul(g, _ppow(h, delta))
+        a, b = b, {e: _pdivexact(k, divisor) for e, k in r.items()}
         g = a[max(a)]
         if delta:
-            h = _zdivexact(_zpow(g, delta), _zpow(h, delta - 1))
+            h = _pdivexact(_ppow(g, delta), _ppow(h, delta - 1))
     if res is None:
         out = content
     else:
         cc = _zucontent(res)
-        prim = _from_univ({e: _zdivexact(k, cc) for e, k in res.items()}, i)
+        prim = _from_univ({e: _pdivexact(k, cc) for e, k in res.items()}, i)
         out = _pmul(prim, content)
     if g0 != 1:
         out = {m: c * g0 for m, c in out.items()}
@@ -924,3 +900,29 @@ def equals(a, b):
     if a is None or b is None:
         raise ExprError("equals() wants Exprs or numbers")
     return a == b
+
+
+def compile_expr(expr, names):
+    """Turn expr into a float function of the given argument names, in order."""
+    index = {name: i for i, name in enumerate(names)}
+    slots = [index[v] for v in expr.vars]
+
+    def poly_src(p):
+        if not p:
+            return "0.0"
+        terms = []
+        for mono, c in sorted(p.items()):
+            parts = [repr(float(c))]
+            for i, e in enumerate(mono):
+                if e == 1:
+                    parts.append("a%d" % slots[i])
+                elif e:
+                    parts.append("a%d**%d" % (slots[i], e))
+            terms.append("*".join(parts))
+        return " + ".join(terms)
+
+    args = ", ".join("a%d" % i for i in range(len(names)))
+    body = poly_src(expr.num)
+    if not _pisone(expr.den):
+        body = "(%s) / (%s)" % (body, poly_src(expr.den))
+    return eval("lambda %s: %s" % (args, body), {})

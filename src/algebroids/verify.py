@@ -1,11 +1,13 @@
 """The built-in worked example and its reproduction checks.
 
-The data below describes one three-input control system, its pullback
-under the point reflection s_O, the rank-2 frame (t1, t2) spanning the
-transformed directions, and the reduction/pseudo-inverse chain between
-them.  verify_paper() re-derives every displayed identity of that
-worked example from scratch and compares exactly; it takes no
-tolerances and no random seeds.
+The bundled scenario describes one three-input control system on a
+reflected chart, the point reflection s_O, the rank-2 frame (t1, t2)
+spanning the transformed directions, and the reduction matrix R.
+builtin_data() loads it and adds what the file lacks: the same system
+on the unreflected chart and the matrices the worked example displays.
+verify_paper() re-derives every displayed identity of that worked
+example from scratch and compares exactly; it takes no tolerances and
+no random seeds.
 
 The expected matrices are kept in a mutable container so tests can
 inject faults and watch the right check fail.
@@ -14,7 +16,8 @@ inject faults and watch the right check fail.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from importlib import resources
 
 from .algebroid import (
     AlgebroidModel,
@@ -42,9 +45,14 @@ from .matcalc import (
     matmul,
 )
 from .report import Report
+from .scenario import load_scenario
 from .symexpr import parse
 
-__all__ = ["WorkedExample", "builtin_data", "verify_paper"]
+__all__ = ["BUNDLED_SCENARIO", "WorkedExample", "builtin_data", "verify_paper"]
+
+BUNDLED_SCENARIO = resources.files("algebroids").joinpath(
+    "scenarios", "worked_example.scn"
+)
 
 CHECKS = (
     "transform-equivalence",
@@ -90,31 +98,25 @@ def _mat(rows, names):
 
 
 def builtin_data():
-    """A fresh copy of the worked-example data."""
+    """A fresh copy of the worked-example data, loaded from the bundled scenario.
+
+    The generalized model is the scenario's classical model seen
+    through the base maps h = eta = s_O.
+    """
+    scen = load_scenario(BUNDLED_SCENARIO)
+    t_chart = scen.chart
     x_chart = Chart("sigma", ("x1", "x2", "x3"))
-    t_chart = Chart("sigma_tilde", ("xt1", "xt2", "xt3"))
     xn, tn = x_chart.coords, t_chart.coords
 
+    s_o = scen.maps["s_O"]
     neg_x = tuple(-x_chart.var(c) for c in xn)
-    neg_t = tuple(-t_chart.var(c) for c in tn)
-    mirror = make_coord_map(x_chart, t_chart, neg_x, neg_t)
-    s_o = make_coord_map(t_chart, t_chart, neg_t, neg_t)
+    mirror = make_coord_map(x_chart, t_chart, neg_x, s_o.inverse)
 
+    sys_tilde = scen.control
     m_hat = _mat([["0", "-x2", "1"], ["-x1", "-x2", "1"], ["1", "0", "0"]], xn)
-    m_tilde = _mat(
-        [["0", "-xt2", "-1"], ["-xt1", "-xt2", "-1"], ["-1", "0", "0"]], tn
-    )
-    inputs = ("y1", "y2", "y3")
-    lag = "1/2*(y1^2 + y2^2 + y3^2)"
-    sys_hat = ControlSystem(x_chart, m_hat, inputs, parse(lag, xn + inputs))
-    sys_tilde = ControlSystem(t_chart, m_tilde, inputs, parse(lag, tn + inputs))
+    sys_hat = ControlSystem(x_chart, m_hat, sys_tilde.inputs, sys_tilde.lagrangian)
 
-    frame = Bundle(t_chart, ("t1", "t2"))
-    tangent = tangent_bundle(t_chart)
-    rho = _mat([["1", "0", "0"], ["xt1", "xt2", "1"]], tn)
-    r = _mat([["-xt1", "1"], ["0", "1"], ["1", "0"]], tn)
     g_display = _mat([["xt1", "-1"], ["0", "-1"], ["-1", "0"]], tn)
-
     rtr_expected = _mat([["1 + xt1^2", "-xt1"], ["-xt1", "2"]], tn)
     det_expected = parse("2 + xt1^2", tn)
     rtr_inv_expected = _mat(
@@ -139,10 +141,6 @@ def builtin_data():
         xn,
     )
 
-    structure = {(1, 1, 2): parse("1", tn)}
-    classical = AlgebroidModel.from_table(frame, rho, structure)
-    generalized = AlgebroidModel.from_table(frame, rho, structure, h=s_o, eta=s_o)
-
     return WorkedExample(
         x_chart=x_chart,
         t_chart=t_chart,
@@ -150,19 +148,19 @@ def builtin_data():
         s_o=s_o,
         sys_hat=sys_hat,
         sys_tilde=sys_tilde,
-        frame=frame,
-        tangent=tangent,
-        rho=rho,
-        r=r,
+        frame=scen.bundle,
+        tangent=tangent_bundle(t_chart),
+        rho=scen.model.anchor,
+        r=scen.matrices["R"],
         g_display=g_display,
-        m_tilde=m_tilde,
+        m_tilde=sys_tilde.matrix,
         rtr_expected=rtr_expected,
         det_expected=det_expected,
         rtr_inv_expected=rtr_inv_expected,
         r_left_expected=r_left_expected,
         g_tilde_x_expected=g_tilde_x_expected,
-        classical=classical,
-        generalized=generalized,
+        classical=scen.model,
+        generalized=replace(scen.model, h=s_o, eta=s_o),
     )
 
 

@@ -70,8 +70,8 @@ def test_worked_example_reproduction():
 def test_axiom_suite():
     data = builtin_data()
     rep = check_axioms(data.classical, seed=11, samples=10)
-    assert rep.ok, str(rep)
-    assert [i.name for i in rep.items] == [
+    assert rep.all_passed, rep.text()
+    assert [r.check for r in rep.results] == [
         "antisymmetry",
         "jacobi",
         "leibniz",

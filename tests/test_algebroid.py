@@ -183,26 +183,27 @@ def test_induced_anchor_twisted(data):
 
 def test_check_axioms_classical_all_pass(data):
     rep = check_axioms(data.classical, seed=5, samples=8)
-    assert rep.ok
-    assert [i.name for i in rep.items] == [
+    assert rep.all_passed
+    assert [r.check for r in rep.results] == [
         "antisymmetry",
         "jacobi",
         "leibniz",
         "anchor-morphism",
     ]
-    assert str(rep).splitlines() == [
+    assert rep.text().splitlines() == [
         "PASS antisymmetry",
         "PASS jacobi",
         "PASS leibniz",
         "PASS anchor-morphism",
+        "4/4 checks passed",
     ]
 
 
 def test_check_axioms_flags_twisted_base_maps(data):
     # with h = eta = s_O the classical compatibility identities break
     rep = check_axioms(data.generalized, seed=5, samples=8)
-    assert not rep.ok
-    verdicts = {i.name: i.passed for i in rep.items}
+    assert not rep.all_passed
+    verdicts = {r.check: r.passed for r in rep.results}
     assert verdicts == {
         "antisymmetry": True,
         "jacobi": False,
@@ -316,14 +317,14 @@ def test_bullet_bracket_alternating():
 def test_check_bullet_jacobi_identity_passes():
     inst = _plane_instance([["1", "0"], ["0", "1"]])
     rep = check_bullet_jacobi(inst, seed=3, samples=5)
-    assert rep.ok
-    assert [i.name for i in rep.items] == ["jacobi"]
+    assert rep.all_passed
+    assert [r.check for r in rep.results] == ["jacobi"]
 
 
 def test_check_bullet_jacobi_twisted_fails():
     # a non-constant endomorphism breaks Jacobi for the twisted bracket
     inst = _plane_instance([["x2", "0"], ["0", "1"]])
     rep = check_bullet_jacobi(inst, seed=7, samples=6)
-    assert not rep.ok
-    bad = [i for i in rep.items if not i.passed]
+    assert not rep.all_passed
+    bad = [r for r in rep.results if not r.passed]
     assert bad and bad[0].witnesses[0].startswith("cycle on")

@@ -1,9 +1,12 @@
 """End-to-end runs of the command-line front end via run()."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +36,32 @@ COUNTEREXAMPLE = """\
     C[2,1,3] = 1
 """
 
+COUNTEREXAMPLE_JACOBI_WITNESS = (
+    "cycle on (t1,t2,t3) leaves -t2; cycle on random sections leaves "
+    "(-2*xt1*xt2*xt3 - 4*xt2*xt3^2 - 3*xt1*xt2 - 4*xt1*xt3 + 12*xt2*xt3"
+    " - 16*xt3^2 - 12*xt1 + 36*xt3 - 6)*t2"
+)
+
+PLANE_FLOW = """\
+    [chart]
+    coords = xt1, xt2
+
+    [frame]
+    sections = t1, t2
+
+    [anchor]
+    rho = [1, 0]
+          [0, 1]
+
+    [euler_lagrange]
+    lagrangian = {lagrangian}
+    velocities = z1, z2
+    x0 = 0, 1
+    z0 = 1, 0
+    horizon = 1
+    dt = 1/10
+"""
+
 
 # ------------------------------------------------------------------- usage
 
@@ -45,6 +74,13 @@ def test_help_exits_zero(capsys):
 def test_unknown_command_exits_two(capsys):
     assert run(["bogus"]) == (2, None)
     assert run([]) == (2, None)
+
+
+def test_seed_is_only_an_option_of_check(capsys):
+    assert run(["verify-paper", "--seed", "3"]) == (2, None)
+    assert run(["simulate", "--seed", "3"]) == (2, None)
+    assert run(["verify-paper", "--scenario", "x.scn"]) == (2, None)
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_missing_scenario_file_exits_three(capsys):
@@ -96,9 +132,28 @@ def test_check_reports_broken_jacobi(tmp_path, capsys):
     path = write_scenario(tmp_path, COUNTEREXAMPLE)
     status, report = run(["check", "--scenario", path])
     assert status == 1
-    out = capsys.readouterr().out
-    assert "FAIL jacobi" in out
-    assert "-t2" in out
+    assert capsys.readouterr().out == (
+        "PASS antisymmetry\n"
+        "FAIL jacobi: %s\n"
+        "PASS leibniz\n"
+        "PASS anchor-morphism\n"
+        "3/4 checks passed\n" % COUNTEREXAMPLE_JACOBI_WITNESS
+    )
+
+
+def test_check_reports_broken_jacobi_as_json(tmp_path, capsys):
+    path = write_scenario(tmp_path, COUNTEREXAMPLE)
+    status, _ = run(["check", "--scenario", path, "--json"])
+    assert status == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    expected = [
+        {"check": "antisymmetry", "pass": True, "witness": ""},
+        {"check": "jacobi", "pass": False, "witness": COUNTEREXAMPLE_JACOBI_WITNESS},
+        {"check": "leibniz", "pass": True, "witness": ""},
+        {"check": "anchor-morphism", "pass": True, "witness": ""},
+    ]
+    assert captured.out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_check_needs_a_model(tmp_path, capsys):
@@ -148,6 +203,21 @@ def test_pinv_prints_matrix_and_verdict(capsys):
     )
     assert "PASS left-inverse R" in captured.out
     assert "note: rank may drop where xt1^2 + 2 = 0" in captured.err
+
+
+def test_pinv_matrix_and_report_to_file(tmp_path, capsys):
+    out_path = tmp_path / "pinv.txt"
+    status, _ = run(["pinv", "--matrix", "R", "--out", str(out_path)])
+    assert status == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "note: rank may drop where xt1^2 + 2 = 0\n"
+    assert out_path.read_text() == (
+        "[(-xt1)/(xt1^2 + 2), (xt1)/(xt1^2 + 2), (2)/(xt1^2 + 2)]\n"
+        "[(1)/(xt1^2 + 2), (xt1^2 + 1)/(xt1^2 + 2), (xt1)/(xt1^2 + 2)]\n"
+        "PASS left-inverse R\n"
+        "1/1 checks passed\n"
+    )
 
 
 def test_pinv_json_holds_matrix_in_witness(capsys):
@@ -282,7 +352,38 @@ def test_euler_lagrange_needs_block(tmp_path, capsys):
     assert "lacks an [euler_lagrange] block" in capsys.readouterr().err
 
 
+def test_euler_lagrange_pole_exits_three(tmp_path, capsys):
+    text = PLANE_FLOW.format(lagrangian="1/2*(z1^2 + z2^2) + 1/xt1")
+    path = write_scenario(tmp_path, text)
+    assert run(["euler-lagrange", "--scenario", path]) == (3, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error: pole in the Lagrange equations at t=0")
+    assert len(err.splitlines()) == 1
+
+
+def test_euler_lagrange_singular_hessian_exits_three(tmp_path, capsys):
+    text = PLANE_FLOW.format(lagrangian="1/2*xt1*(z1^2 + z2^2)")
+    path = write_scenario(tmp_path, text)
+    assert run(["euler-lagrange", "--scenario", path]) == (3, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error: velocity Hessian is singular at state")
+    assert len(err.splitlines()) == 1
+
+
 # --------------------------------------------------------------- packaging
+
+
+def test_module_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "algebroids.cli", "verify-paper"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "10/10 checks passed"
 
 
 def test_console_script_is_installed():

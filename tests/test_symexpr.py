@@ -253,3 +253,27 @@ def test_random_ring_axioms_at_points():
         except PoleError:
             continue
         done += 1
+
+
+def test_exact_division_and_power_keep_the_coefficient_domain():
+    from algebroids.symexpr import _pdivexact, _ppow
+
+    # integer polys, as inside the gcd: divmod, results stay int
+    x1 = {(1,): 1, (0,): 1}  # x + 1
+    cube = _ppow({(1,): 2, (0,): 2}, 3)  # (2x + 2)^3
+    assert cube == {(3,): 8, (2,): 24, (1,): 24, (0,): 8}
+    quot = _pdivexact(cube, _ppow(x1, 2))
+    assert quot == {(1,): 8, (0,): 8}
+    assert all(type(c) is int for c in quot.values())
+    assert _pdivexact({(1,): 4, (0,): 2}, {(0,): 2}) == {(1,): 2, (0,): 1}
+    assert _ppow(x1, 0) == {(0,): 1}
+    with pytest.raises(ArithmeticError):
+        _pdivexact({(1,): 3, (0,): 3}, {(1,): 2, (0,): 2})
+    with pytest.raises(ArithmeticError):
+        _pdivexact({(1,): 4, (0,): 2}, {(0,): 4})
+    # Fraction polys divide over Q, also by an integer divisor
+    three = {(1,): Fraction(3), (0,): Fraction(3)}
+    assert _pdivexact(three, {(1,): 2, (0,): 2}) == {(0,): Fraction(3, 2)}
+    assert _pdivexact(three, {(0,): 2}) == {(1,): Fraction(3, 2), (0,): Fraction(3, 2)}
+    with pytest.raises(ArithmeticError):
+        _pdivexact(three, {(1,): Fraction(1), (0,): Fraction(2)})

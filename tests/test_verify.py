@@ -2,7 +2,8 @@
 
 import json
 
-from algebroids import FMatrix, Report, builtin_data, check_axioms, parse, verify_paper
+from algebroids import FMatrix, Report, builtin_data, parse, verify_paper
+from algebroids.report import CheckResult
 from algebroids.verify import CHECKS
 
 
@@ -84,13 +85,8 @@ def test_report_rendering():
     assert payload[1] == {"check": "beta", "pass": False, "witness": "saw 2, wanted 1"}
 
 
-def test_report_folds_axiom_items():
-    rep = Report()
-    rep.extend_axioms(check_axioms(builtin_data().classical, seed=2, samples=4))
-    assert [r.check for r in rep.results] == [
-        "antisymmetry",
-        "jacobi",
-        "leibniz",
-        "anchor-morphism",
-    ]
-    assert rep.all_passed
+def test_report_witness_joins_the_first_three():
+    rep = Report([CheckResult("jacobi", False, ("a", "b", "c", "d"))])
+    assert rep.item("jacobi").witness == "a; b; c"
+    assert rep.text().splitlines()[0] == "FAIL jacobi: a; b; c"
+    assert json.loads(rep.json())[0]["witness"] == "a; b; c"
