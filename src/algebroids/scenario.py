@@ -171,6 +171,27 @@ class _Loader:
         except (ValueError, ZeroDivisionError):
             self.fail(block, lineno, "%r is not a rational number" % text)
 
+    def whole(self, block, piece, least=None):
+        value = self.number(block, piece)
+        if value.denominator != 1 or (least is not None and value < least):
+            kind = "a whole number" if least is None else "a whole number >= %d" % least
+            self.fail(block, piece[1], "%r is not %s" % (piece[0], kind))
+        return int(value)
+
+    def steps(self, block, block_line, data):
+        """horizon and dt of a block: positive, horizon a whole number of steps."""
+        horizon = self.number(block, data["horizon"][0])
+        dt = self.number(block, data["dt"][0])
+        if horizon <= 0 or dt <= 0:
+            self.fail(block, block_line, "horizon and dt must be positive")
+        if (horizon / dt).denominator != 1:
+            self.fail(
+                block,
+                block_line,
+                "horizon %s is not a whole number of steps of dt = %s" % (horizon, dt),
+            )
+        return horizon, dt
+
     def names(self, pieces):
         return tuple(part.strip() for part in pieces[0][0].split(","))
 
@@ -373,10 +394,7 @@ class _Loader:
         x0 = self.numbers("simulate", data["x0"])
         if len(x0) != self.chart.dim:
             self.fail("simulate", block["line"], "x0 needs %d entries" % self.chart.dim)
-        horizon = self.number("simulate", data["horizon"][0])
-        dt = self.number("simulate", data["dt"][0])
-        if horizon <= 0 or dt <= 0:
-            self.fail("simulate", block["line"], "horizon and dt must be positive")
+        horizon, dt = self.steps("simulate", block["line"], data)
         self.simulate = SimulateSpec(x0, horizon, dt)
 
     def load_el(self, model):
@@ -398,8 +416,7 @@ class _Loader:
         )
         x0 = self.numbers("euler_lagrange", data["x0"])
         z0 = self.numbers("euler_lagrange", data["z0"])
-        horizon = self.number("euler_lagrange", data["horizon"][0])
-        dt = self.number("euler_lagrange", data["dt"][0])
+        horizon, dt = self.steps("euler_lagrange", block["line"], data)
         try:
             return ELProblem(model, lag, velocities, x0, z0, horizon, dt)
         except (GeometryError, RegularityError) as err:
@@ -411,9 +428,9 @@ class _Loader:
             return
         data = self.as_dict(block, "random", required=(), optional=("seed", "samples"))
         if "seed" in data:
-            self.seed = int(self.number("random", data["seed"][0]))
+            self.seed = self.whole("random", data["seed"][0])
         if "samples" in data:
-            self.samples = int(self.number("random", data["samples"][0]))
+            self.samples = self.whole("random", data["samples"][0], least=1)
 
 
 def load_scenario(path):

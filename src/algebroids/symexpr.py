@@ -217,11 +217,25 @@ def _pdivexact(p, d):
     return quot
 
 
-# GCD over the integers via a subresultant pseudo-remainder sequence in
-# the highest variable shared by both polynomials, recursing on the
-# coefficients.  Rational coefficients are cleared to integers first;
-# the fraction-free sequence keeps the integer growth polynomial, where
-# a primitive sequence over Q drowns in huge Fraction normalizations.
+# GCD over the integers.  Rational coefficients are cleared to integers
+# first (_zclear), integer contents are split off, and then two methods
+# run in turn:
+#
+# * GCDHEU (Char, Geddes, Gonnet, J. Symbolic Comput. 1989), tried
+#   first: evaluate both polys at a large integer xi in one shared
+#   variable, take the gcd of the two images (one variable fewer) with
+#   _zgcd itself, and rebuild the answer xi-adically from symmetric
+#   residues.  A point where an image vanishes is skipped.  The
+#   primitive part of the rebuilt poly is kept only if it divides both
+#   inputs exactly; with primitive inputs at every level and
+#   xi > 2*min(|p|, |q|) + 1, |p| the largest absolute coefficient, it
+#   is then the gcd.  It may fail (after six evaluation points), but it
+#   is never used unchecked.
+# * The subresultant pseudo-remainder sequence, the certified fallback:
+#   a PRS in the highest shared variable, recursing on the
+#   coefficients.  The fraction-free sequence keeps the integer growth
+#   polynomial, where a primitive sequence over Q drowns in huge
+#   Fraction normalizations.
 #
 # The "univariate view" of a poly in variable i is a dict {exponent of
 # i: coefficient poly}, where the coefficient polys keep full arity
@@ -308,6 +322,62 @@ def _zucontent(u):
     return g
 
 
+def _zeval(p, i, xi):
+    """Integer poly p with variable i set to xi; slot i of the result is 0."""
+    powers = [1]
+    out = {}
+    for mono, c in p.items():
+        e = mono[i]
+        while len(powers) <= e:
+            powers.append(powers[-1] * xi)
+        key = mono[:i] + (0,) + mono[i + 1 :]
+        s = out.get(key, 0) + c * powers[e]
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _zheu(p, q, i):
+    """GCDHEU gcd of primitive integer polys that both use variable i, or None.
+
+    The result is checked by exact division; None means the heuristic
+    gave up and the caller must use another method.
+    """
+    norm = min(max(map(abs, p.values())), max(map(abs, q.values())))
+    xi = 2 * norm + 29
+    for _ in range(6):
+        pe, qe = _zeval(p, i, xi), _zeval(q, i, xi)
+        if pe and qe:
+            # Rebuild G = sum g_k x_i^k from h, digit by symmetric digit.
+            h, g, k, half = _zgcd(pe, qe), {}, 0, xi // 2
+            while h:
+                nxt = {}
+                for mono, c in h.items():
+                    r = c % xi
+                    if r > half:
+                        r -= xi
+                    if r:
+                        g[mono[:i] + (k,) + mono[i + 1 :]] = r
+                    c = (c - r) // xi
+                    if c:
+                        nxt[mono] = c
+                h, k = nxt, k + 1
+            cg = _zcontent(g)
+            g = {m: c // cg for m, c in g.items()}
+            try:
+                _pdivexact(p, g)
+                _pdivexact(q, g)
+            except ArithmeticError:
+                pass
+            else:
+                return g
+        # The next point as in the CGG paper, about 2.7 * xi^(5/4).
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
 def _zgcd(p, q):
     """Gcd of two nonzero integer polys, integer-primitive, lead > 0."""
     ip, iq = _zcontent(p), _zcontent(q)
@@ -327,6 +397,19 @@ def _zgcd(p, q):
     if not shared:
         return {(0,) * arity: g0}
     i = max(shared)
+    out = _zheu(p, q, i)
+    if out is None:
+        out = _zprs(p, q, i)
+    if g0 != 1:
+        out = {m: c * g0 for m, c in out.items()}
+    if out[_plead(out)] < 0:
+        out = {m: -c for m, c in out.items()}
+    return out
+
+
+def _zprs(p, q, i):
+    """Gcd of primitive integer polys by a subresultant PRS in variable i."""
+    arity = len(next(iter(p)))
     up, uq = _to_univ(p, i), _to_univ(q, i)
     cp, cq = _zucontent(up), _zucontent(uq)
     content = _zgcd(cp, cq)
@@ -336,31 +419,20 @@ def _zgcd(p, q):
         a, b = b, a
     one = {(0,) * arity: 1}
     g, h = one, one
-    res = None
     while True:
         delta = max(a) - max(b)
         r = _uprem(a, b)
         if not r:
-            res = b
-            break
+            cc = _zucontent(b)
+            prim = _from_univ({e: _pdivexact(k, cc) for e, k in b.items()}, i)
+            return _pmul(prim, content)
         if max(r) == 0:
-            break
+            return content
         divisor = _pmul(g, _ppow(h, delta))
         a, b = b, {e: _pdivexact(k, divisor) for e, k in r.items()}
         g = a[max(a)]
         if delta:
             h = _pdivexact(_ppow(g, delta), _ppow(h, delta - 1))
-    if res is None:
-        out = content
-    else:
-        cc = _zucontent(res)
-        prim = _from_univ({e: _pdivexact(k, cc) for e, k in res.items()}, i)
-        out = _pmul(prim, content)
-    if g0 != 1:
-        out = {m: c * g0 for m, c in out.items()}
-    if out[_plead(out)] < 0:
-        out = {m: -c for m, c in out.items()}
-    return out
 
 
 def _pgcd(p, q):

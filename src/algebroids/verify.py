@@ -15,6 +15,7 @@ inject faults and watch the right check fail.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -192,6 +193,18 @@ def verify_paper(data=None):
             passed, witness = False, "error: %s" % err
         report.add(name, passed, witness if not passed else "")
 
+    # Shared inputs, derived on first use; an exception is not cached, so
+    # it fails each check that needs the value and no other.
+    @functools.cache
+    def gram():
+        return matmul(data.r.transpose(), data.r)
+
+    @functools.cache
+    def r_left():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDropWarning)
+            return left_pseudo_inverse(data.r)
+
     def transform_equivalence():
         ok = verify_transform(data.sys_hat, data.sys_tilde, data.mirror)
         return ok, "pullback of the system matrix does not match"
@@ -201,26 +214,24 @@ def verify_paper(data=None):
         return got == data.m_tilde, _matrix_witness(got, data.m_tilde)
 
     def gram_matrix():
-        got = matmul(data.r.transpose(), data.r)
+        got = gram()
         return got == data.rtr_expected, _matrix_witness(got, data.rtr_expected)
 
     def gram_determinant():
-        got = determinant(matmul(data.r.transpose(), data.r))
+        got = determinant(gram())
         return got == data.det_expected, "got %s, wanted %s" % (
             got,
             data.det_expected,
         )
 
     def gram_inverse():
-        got = adjugate_inverse(matmul(data.r.transpose(), data.r))
+        got = adjugate_inverse(gram())
         return got == data.rtr_inv_expected, _matrix_witness(
             got, data.rtr_inv_expected
         )
 
     def left_inverse():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RankDropWarning)
-            got = left_pseudo_inverse(data.r)
+        got = r_left()
         if got != data.r_left_expected:
             return False, _matrix_witness(got, data.r_left_expected)
         prod = matmul(got, data.r)
@@ -228,11 +239,8 @@ def verify_paper(data=None):
         return prod == eye, _matrix_witness(prod, eye)
 
     def reduction_inverse():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RankDropWarning)
-            r_left = left_pseudo_inverse(data.r)
         renaming = dict(zip(data.t_chart.coords, data.x_chart.coords))
-        g_tilde = (-r_left).rename(renaming)
+        g_tilde = (-r_left()).rename(renaming)
         if g_tilde != data.g_tilde_x_expected:
             return False, _matrix_witness(g_tilde, data.g_tilde_x_expected)
         prod = matmul(g_tilde, data.g_display.rename(renaming))

@@ -370,6 +370,38 @@ def test_euler_lagrange_singular_hessian_exits_three(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "horizon, dt, message",
+    [
+        ("1", "0", "horizon and dt must be positive"),
+        ("-1", "1/10", "horizon and dt must be positive"),
+        ("1", "3/10", "horizon 1 is not a whole number of steps of dt = 3/10"),
+    ],
+)
+def test_euler_lagrange_steps_are_validated(tmp_path, capsys, horizon, dt, message):
+    text = PLANE_FLOW.format(lagrangian="1/2*(z1^2 + z2^2)")
+    text = text.replace("horizon = 1", "horizon = " + horizon)
+    path = write_scenario(tmp_path, text.replace("dt = 1/10", "dt = " + dt))
+    assert run(["euler-lagrange", "--scenario", path]) == (3, None)
+    err = capsys.readouterr().err
+    assert err == "error: line 11, [euler_lagrange]: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("seed = 1/2", "line 17, [random]: '1/2' is not a whole number"),
+        ("samples = -3", "line 17, [random]: '-3' is not a whole number >= 1"),
+    ],
+)
+def test_random_block_needs_whole_numbers(tmp_path, capsys, entry, message):
+    path = write_scenario(tmp_path, COUNTEREXAMPLE + "\n    [random]\n    " + entry + "\n")
+    assert run(["check", "--scenario", path]) == (3, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 # --------------------------------------------------------------- packaging
 
 

@@ -277,3 +277,162 @@ def test_exact_division_and_power_keep_the_coefficient_domain():
     assert _pdivexact(three, {(0,): 2}) == {(1,): Fraction(3, 2), (0,): Fraction(3, 2)}
     with pytest.raises(ArithmeticError):
         _pdivexact(three, {(1,): Fraction(1), (0,): Fraction(2)})
+
+
+# ------------------------------------------------- gcd: GCDHEU against PRS
+
+
+def _raw_poly(rng, slots, degree, terms, span=9):
+    """A nonzero integer dict poly of arity 3 in the given variable slots."""
+    while True:
+        p = {}
+        for _ in range(rng.randint(1, terms)):
+            mono = [0, 0, 0]
+            for _ in range(rng.randint(0, degree)):
+                mono[rng.choice(slots)] += 1
+            p[tuple(mono)] = p.get(tuple(mono), 0) + rng.randint(-span, span)
+        p = {m: c for m, c in p.items() if c}
+        if p:
+            return p
+
+
+def _gcd_corpus(seed, count):
+    from algebroids.symexpr import _pmul
+
+    rng = random.Random(seed)
+    for n in range(count):
+        slots = rng.sample(range(3), rng.randint(1, 3))
+        if n % 5 == 0:
+            g = {(0, 0, 0): rng.randint(1, 12)}
+        else:
+            g = _raw_poly(rng, slots, 3, 4)
+        a = _raw_poly(rng, slots, 3, 4)
+        b = _raw_poly(rng, rng.sample(range(3), rng.randint(1, 3)), 3, 4)
+        yield g, _pmul(g, a), _pmul(g, b)
+
+
+def _shared_slots(p, q):
+    used = [{i for m in r for i, e in enumerate(m) if e} for r in (p, q)]
+    return sorted(used[0] & used[1])
+
+
+def _primitive(p):
+    from algebroids.symexpr import _zcontent
+
+    c = _zcontent(p)
+    return {m: v // c for m, v in p.items()}
+
+
+def _prs_gcd(monkeypatch, p, q):
+    """_zgcd with the heuristic switched off: the subresultant PRS alone."""
+    from algebroids import symexpr
+
+    with monkeypatch.context() as m:
+        m.setattr(symexpr, "_zheu", lambda p, q, i: None)
+        return symexpr._zgcd(p, q)
+
+
+def test_gcd_heuristic_matches_prs_on_a_seeded_corpus(monkeypatch):
+    from algebroids.symexpr import _pdivexact, _zcontent, _zgcd, _zheu
+
+    solved = tried = 0
+    pairs = list(_gcd_corpus(3001, 240))
+    for g, p, q in pairs:
+        fast = _zgcd(p, q)
+        prs = _prs_gcd(monkeypatch, p, q)
+        assert fast == prs, (p, q)
+        shared = _shared_slots(p, q)
+        if shared:
+            tried += 1
+            heu = _zheu(_primitive(p), _primitive(q), shared[-1])
+            if heu is not None:
+                solved += 1
+                want = _primitive(prs)
+                assert heu in (want, {mono: -c for mono, c in want.items()}), (p, q)
+        # the planted factor divides the gcd
+        cg = _zcontent(g)
+        _pdivexact(prs, {mono: c // cg for mono, c in g.items()})
+    assert tried >= 200
+    assert solved >= 0.95 * tried
+
+
+def test_gcd_heuristic_matches_prs_over_the_rationals(monkeypatch):
+    from algebroids import symexpr
+    from algebroids.symexpr import _pgcd
+
+    rng = random.Random(3002)
+    for _, p, q in _gcd_corpus(3003, 60):
+        p = {m: Fraction(c, rng.randint(1, 6)) for m, c in p.items()}
+        q = {m: Fraction(c * rng.randint(1, 4), rng.randint(1, 6)) for m, c in q.items()}
+        fast = _pgcd(p, q)
+        with monkeypatch.context() as m:
+            m.setattr(symexpr, "_zheu", lambda p, q, i: None)
+            assert _pgcd(p, q) == fast
+
+
+def test_gcd_heuristic_removes_contents_at_every_level():
+    from algebroids.symexpr import _zgcd, _zheu
+
+    # gcd(2*x2*x3*(1 + x1 - x1^2), x1*x3^2) = x3; the images one level
+    # down share the integer content 31 and must not leave it behind.
+    p = {(0, 1, 1): 2, (1, 1, 1): 2, (2, 1, 1): -2}
+    q = {(1, 0, 2): 1}
+    assert _zheu(_primitive(p), q, 2) in ({(0, 0, 1): 1}, {(0, 0, 1): -1})
+    assert _zgcd(p, q) == {(0, 0, 1): 1}
+    quot = parse("2*x2*x3*(1 + x1 - x1^2)", XYZ) / parse("x1*x3^2", XYZ)
+    assert quot == parse("2*x2*(1 + x1 - x1^2)/(x1*x3)", XYZ)
+    assert str(quot) == "(-2*x1^2*x2 + 2*x1*x2 + 2*x2)/(x1*x3)"
+
+
+@pytest.mark.parametrize(
+    "left, right, quotient",
+    [
+        # x1 - 31 vanishes at the first evaluation point, xi = 31
+        ("x1 - 31", "x1", "(x1 - 31)/(x1)"),
+        ("x1", "x1 - 31", "(x1)/(x1 - 31)"),
+        # the image of the right side vanishes; skipping only the empty
+        # image would keep the common divisor x2^2 + x2 but lose x1
+        ("x1*x2*(x2 + 1)", "x1*x2*(x2 + 1)*(x2 - 31)", "(1)/(x2 - 31)"),
+        # both images at x2 = 31 are nonzero; one level down x1 - 31 vanishes
+        ("(x1 - 31)*(x2 + 1)", "x1*x2", "(x1*x2 + x1 - 31*x2 - 31)/(x1*x2)"),
+    ],
+)
+def test_gcd_heuristic_skips_points_where_an_image_vanishes(
+    monkeypatch, left, right, quotient
+):
+    from algebroids.symexpr import _zclear, _zgcd
+
+    a, b = parse(left, XYZ), parse(right, XYZ)
+    p, q = _zclear(a.num), _zclear(b.num)
+    assert _zgcd(p, q) == _prs_gcd(monkeypatch, p, q)
+    assert _zgcd(q, p) == _prs_gcd(monkeypatch, q, p)
+    assert str(a / b) == quotient
+
+
+def test_prs_fallback_gives_the_same_results(monkeypatch):
+    import warnings
+
+    from algebroids import builtin_data, left_pseudo_inverse, symexpr
+
+    r = builtin_data().r
+    cases = [
+        ("(x1^2 - x2^2)/(x1 + x3)", "(x1 + x3)^2/(x1 - x2)"),
+        ("(2*x1*x2 + 2)/(3*x3^2 - 3)", "(x3 + 1)/(x1*x2 + 1)^2"),
+        ("(x1 - 1)^3*(x2 + x3)", "(x1 - 1)*(x2 + x3)^2*x1"),
+    ]
+
+    def compute():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pinv = left_pseudo_inverse(r)
+        out = [pinv]
+        for left, right in cases:
+            a, b = parse(left, XYZ), parse(right, XYZ)
+            out += [a * b, a / b, b / a, a + b]
+        return out
+
+    fast = compute()
+    monkeypatch.setattr(symexpr, "_zheu", lambda p, q, i: None)
+    slow = compute()
+    assert slow == fast
+    assert [str(e) for e in slow[1:]] == [str(e) for e in fast[1:]]

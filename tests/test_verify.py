@@ -90,3 +90,41 @@ def test_report_witness_joins_the_first_three():
     assert rep.item("jacobi").witness == "a; b; c"
     assert rep.text().splitlines()[0] == "FAIL jacobi: a; b; c"
     assert json.loads(rep.json())[0]["witness"] == "a; b; c"
+
+
+def test_shared_inputs_are_derived_once(monkeypatch):
+    from algebroids import verify
+
+    data = builtin_data()
+    calls = {"pinv": 0, "gram": 0}
+    pinv, matmul = verify.left_pseudo_inverse, verify.matmul
+
+    def counting_pinv(r):
+        calls["pinv"] += 1
+        return pinv(r)
+
+    def counting_matmul(a, b):
+        if a == data.r.transpose() and b == data.r:
+            calls["gram"] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(verify, "left_pseudo_inverse", counting_pinv)
+    monkeypatch.setattr(verify, "matmul", counting_matmul)
+    text = verify_paper(data).text()
+    assert calls == {"pinv": 1, "gram": 1}
+    assert text == verify_paper(builtin_data()).text()
+    assert text.splitlines()[-1] == "10/10 checks passed"
+
+
+def test_failed_shared_input_fails_only_its_checks(monkeypatch):
+    from algebroids import verify
+
+    def broken(r):
+        raise ArithmeticError("no inverse today")
+
+    monkeypatch.setattr(verify, "left_pseudo_inverse", broken)
+    verdicts = {r.check: r for r in verify_paper().results}
+    failed = {name for name, r in verdicts.items() if not r.passed}
+    assert failed == {"left-inverse", "reduction-inverse"}
+    assert verdicts["left-inverse"].witness == "error: no inverse today"
+    assert verdicts["reduction-inverse"].witness == "error: no inverse today"
