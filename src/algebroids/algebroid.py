@@ -185,16 +185,7 @@ def induced_anchor(model):
             [comp.diff(name).subs(back) for comp in model.h.forward]
             for name in chart.coords
         ]  # jac[i][j] = (dh_j/dx^i) o h^-1
-        rows = []
-        for alpha in range(model.bundle.rank):
-            row = []
-            for j in range(chart.dim):
-                total = _ZERO
-                for i in range(chart.dim):
-                    total = total + model.anchor[alpha, i] * jac[i][j]
-                row.append(total)
-            rows.append(row)
-        theta = FMatrix(rows)
+        theta = model.anchor * FMatrix(jac)
     return VBMorphism(model.bundle, tangent_bundle(chart), identity_map(chart), theta)
 
 

@@ -214,11 +214,7 @@ def _cmd_simulate(args):
         raise ScenarioError("scenario lacks a [control] or [simulate] block")
     if not scen.controls:
         raise ScenarioError("scenario lacks a [controls] block")
-    funs = [compile_expr(scen.controls[u], ("t",)) for u in scen.control.inputs]
-
-    def signal(t):
-        return [f(t) for f in funs]
-
+    signal = compile_expr([scen.controls[u] for u in scen.control.inputs], ("t",))
     traj = integrate(
         scen.control,
         signal,

@@ -1,23 +1,24 @@
 """Numeric integration of anchored control systems and Lagrange flows.
 
-Structure data stays symbolic right up to the integrator loop: every
-Expr that the loop needs is compiled once into a float-evaluating
-closure, then a classical fixed-step fourth-order Runge-Kutta scheme
-does the rest.  The running cost rides along as an extra state with
-cdot = L, so its quadrature uses the same nodes as the trajectory
-(Simpson's rule on the RK4 grid).
+Structure data stays symbolic right up to the integrator loop: the
+whole state derivative of a flow, running cost included, is derived as
+exact Exprs and compiled once into one float-evaluating function, then
+a classical fixed-step fourth-order Runge-Kutta scheme does the rest.
+The running cost rides along as an extra state with cdot = L, so its
+quadrature uses the same nodes as the trajectory (Simpson's rule on the
+RK4 grid).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from functools import cached_property
 
 from .algebroid import AlgebroidModel
 from .bundle import Chart, GeometryError
-from .matcalc import FMatrix, determinant
+from .matcalc import FMatrix, adjugate_inverse, determinant
 from .symexpr import Expr, compile_expr
 
 __all__ = [
@@ -30,11 +31,12 @@ __all__ = [
     "el_rhs",
     "solve_el",
     "verify_transform",
+    "step_count",
 ]
 
 
 class TrajectoryError(Exception):
-    """Integration hit a pole; carries the time and state."""
+    """Integration hit a pole or blew up; carries the time and state."""
 
     def __init__(self, message, time, state):
         super().__init__("%s at t=%g, state=%s" % (message, time, tuple(state)))
@@ -81,7 +83,8 @@ class ELProblem:
 
     lagrangian is an Expr in the base coordinates and the velocity
     names z^1..z^r; regularity (symbolically nonsingular velocity
-    Hessian) is checked at construction.
+    Hessian) and whole steps (step_count) are checked at construction,
+    and the Lagrange equations are compiled once, on first use.
     """
 
     model: AlgebroidModel
@@ -91,6 +94,7 @@ class ELProblem:
     z0: tuple
     horizon: Fraction
     dt: Fraction
+    hessian: FMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         velocities = tuple(self.velocities)
@@ -109,16 +113,49 @@ class ELProblem:
         allowed = set(self.model.bundle.base.coords) | set(velocities)
         if set(self.lagrangian.vars) - allowed:
             raise GeometryError("Lagrangian uses undeclared names")
-        hess = FMatrix(
-            [
-                [self.lagrangian.diff(a).diff(b) for b in velocities]
-                for a in velocities
-            ]
-        )
+        step_count(self.horizon, self.dt)
+        lag = self.lagrangian
+        hess = FMatrix([[lag.diff(a).diff(b) for b in velocities] for a in velocities])
         if determinant(hess).is_zero():
             raise RegularityError(
                 "velocity Hessian of the Lagrangian is identically singular"
             )
+        object.__setattr__(self, "hessian", hess)
+
+    @cached_property
+    def _flow(self):
+        """The Lagrange flow, derived exactly and compiled once: (flow, e_fun).
+
+        flow(*x, *z) gives [*xdot, *zdot, L] (see el_rhs) and e_fun(*x, *z)
+        the energy.  Where det H is 0.0, flow raises RegularityError.
+        """
+        names = self.model.bundle.base.coords + self.velocities
+        xdot, force, c, momenta, energy = _el_runtime(
+            self.model, self.lagrangian, self.velocities
+        )
+        z = [Expr.variable(v) for v in self.velocities]
+        r, n = len(z), len(xdot)
+        b = [
+            force[g]
+            - sum(c[g][s][a] * z[s] * momenta[a] for s in range(r) for a in range(r))
+            for g in range(r)
+        ]
+        zdot = (adjugate_inverse(self.hessian) * FMatrix([[v] for v in b])).transpose()
+        flow = compile_expr([*xdot, *zdot.entries[0], self.lagrangian], names)
+        det = compile_expr(determinant(self.hessian), names)
+
+        def checked(*state):
+            try:
+                return flow(*state)
+            except ZeroDivisionError:
+                if det(*state) == 0.0:
+                    raise RegularityError(
+                        "velocity Hessian is singular at state %s"
+                        % ((state[:n], state[n:]),)
+                    ) from None
+                raise
+
+        return checked, compile_expr(energy, names)
 
 
 @dataclass(frozen=True)
@@ -134,14 +171,8 @@ class Trajectory:
     velocity_names: tuple
 
     def __post_init__(self):
-        k = len(self.times)
-        if not (
-            len(self.states)
-            == len(self.velocities)
-            == len(self.energies)
-            == len(self.costs)
-            == k
-        ):
+        columns = self.times, self.states, self.velocities, self.energies, self.costs
+        if len(set(map(len, columns))) != 1:
             raise ValueError("trajectory arrays must have equal length")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly increasing")
@@ -169,18 +200,30 @@ class Trajectory:
             f.write(line + "\n")
 
 
+def step_count(horizon, dt):
+    """Number of RK4 steps in horizon: both positive, horizon/dt whole."""
+    horizon, dt = Fraction(horizon), Fraction(dt)
+    if horizon <= 0 or dt <= 0:
+        raise ValueError("horizon and dt must be positive")
+    steps = horizon / dt
+    if steps.denominator != 1:
+        raise ValueError(
+            "horizon %s is not a whole number of steps of dt = %s" % (horizon, dt)
+        )
+    return int(steps)
+
+
 def _rk4(f, sample, y0, horizon, dt, what):
     """Fixed-step RK4 of y' = f(t, y), sampled at t = 0 and after every step.
 
     The last component of y is the running cost; sample(t, y) gives the
-    state, velocity and energy of one sample.  A division by zero while
-    stepping or sampling is a pole of the system and ends the run with
-    a TrajectoryError.  Returns the Trajectory columns times, states,
-    velocities, energies and costs.
+    state, velocity and energy of one sample.  A division by zero (a
+    pole) and an overflow or a non-finite new state (a blow-up) end the
+    run with a TrajectoryError dated at the start of the failing step.
+    Returns the Trajectory columns times, states, velocities, energies
+    and costs.
     """
-    steps = int(round(float(horizon) / float(dt)))
-    if steps <= 0:
-        raise ValueError("horizon must cover at least one step")
+    steps = step_count(horizon, dt)
     h = float(dt)
     t = 0.0
     y = list(y0)
@@ -192,10 +235,14 @@ def _rk4(f, sample, y0, horizon, dt, what):
                 k2 = f(t + h / 2, _axpy(y, h / 2, k1))
                 k3 = f(t + h / 2, _axpy(y, h / 2, k2))
                 k4 = f(t + h, _axpy(y, h, k3))
-                y = [
+                y_next = [
                     yi + (h / 6) * (a + 2 * b + 2 * c + d)
                     for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
                 ]
+                # A sum is finite only if every term is.
+                if not math.isfinite(sum(y_next)):
+                    raise OverflowError
+                y = y_next
                 t = i * h
             x, v, e = sample(t, y)
             times.append(t)
@@ -205,6 +252,8 @@ def _rk4(f, sample, y0, horizon, dt, what):
             costs.append(y[-1])
     except ZeroDivisionError:
         raise TrajectoryError("pole in %s" % what, t, y[:-1]) from None
+    except OverflowError:
+        raise TrajectoryError("blow-up in %s" % what, t, y[:-1]) from None
     return tuple(tuple(column) for column in columns)
 
 
@@ -217,16 +266,13 @@ def integrate(system, controls, x0, horizon, dt):
     names = system.chart.coords
     n = len(names)
     all_names = names + system.inputs
-    m_funs = [[compile_expr(e, names) for e in row] for row in system.matrix.entries]
-    l_fun = compile_expr(system.lagrangian, all_names)
+    inputs = [Expr.variable(u) for u in system.inputs]
+    xdot = [sum(m * u for m, u in zip(row, inputs)) for row in system.matrix.entries]
+    flow = compile_expr([*xdot, system.lagrangian], all_names)
     e_fun = compile_expr(_energy_expr(system.lagrangian, system.inputs), all_names)
 
     def f(t, y):
-        x = y[:n]
-        u = [float(v) for v in controls(t)]
-        rows = [[fun(*x) for fun in row] for row in m_funs]
-        xdot = [sum(rows[i][j] * u[j] for j in range(n)) for i in range(n)]
-        return xdot + [l_fun(*x, *u)]
+        return flow(*y[:n], *[float(v) for v in controls(t)])
 
     def sample(t, y):
         x = y[:n]
@@ -241,110 +287,57 @@ def integrate(system, controls, x0, horizon, dt):
 
 def _energy_expr(lagrangian, velocity_names):
     # E = z . dL/dz - L
-    e = -lagrangian
-    for name in velocity_names:
-        e = e + Expr.variable(name) * lagrangian.diff(name)
-    return e
+    return sum(Expr.variable(v) * lagrangian.diff(v) for v in velocity_names) - lagrangian
 
 
 def _el_runtime(model, lagrangian, velocities):
-    coords = model.bundle.base.coords
-    r = model.bundle.rank
-    n = len(coords)
-    names = coords + velocities
-    rho = [
-        [compile_expr(model.anchor[a, i], coords) for i in range(n)] for a in range(r)
-    ]
-    dldz = [compile_expr(lagrangian.diff(z), names) for z in velocities]
-    dldx = [compile_expr(lagrangian.diff(x), names) for x in coords]
-    hess = [
-        [compile_expr(lagrangian.diff(a).diff(b), names) for b in velocities]
-        for a in velocities
-    ]
-    mixed = [
-        [compile_expr(lagrangian.diff(z).diff(x), names) for x in coords]
-        for z in velocities
-    ]
-    # c[g][b][a] = C^a_{g b}, the coefficient pattern the z-equation needs.
-    c = [
-        [
-            [compile_expr(model.structure[g][b][a], coords) for a in range(r)]
-            for b in range(r)
-        ]
-        for g in range(r)
-    ]
-    l_fun = compile_expr(lagrangian, names)
-    e_fun = compile_expr(_energy_expr(lagrangian, velocities), names)
-    return rho, dldz, dldx, hess, mixed, c, l_fun, e_fun
+    """Exact pieces of the Lagrange equations: (xdot, force, c, momenta, E).
 
-
-def _el_field(problem):
-    """Compile the Lagrange equations once: (field, l_fun, e_fun).
-
-    field(x, z) returns (xdot, zdot) for float lists x and z.
+    xdot^i = rho^i_a z^a, force_g = rho^i_g dL/dx^i - d2L/dz^g dx^i xdot^i,
+    c[g][b][a] = C^a_{g b}, momenta_a = dL/dz^a, and E is the energy.
     """
-    rho, dldz, dldx, hess, mixed, c, l_fun, e_fun = _el_runtime(
-        problem.model, problem.lagrangian, problem.velocities
-    )
-
-    def field(x, z):
-        n, r = len(x), len(z)
-        rho_vals = [[rho[a][i](*x) for i in range(n)] for a in range(r)]
-        xdot = [sum(z[a] * rho_vals[a][i] for a in range(r)) for i in range(n)]
-        dldz_vals = [f(*x, *z) for f in dldz]
-        dldx_vals = [f(*x, *z) for f in dldx]
-        b = []
-        for g in range(r):
-            total = sum(rho_vals[g][i] * dldx_vals[i] for i in range(n))
-            for beta in range(r):
-                if z[beta] == 0.0:
-                    continue
-                for alpha in range(r):
-                    cv = c[g][beta][alpha](*x)
-                    if cv:
-                        total -= cv * z[beta] * dldz_vals[alpha]
-            total -= sum(mixed[g][i](*x, *z) * xdot[i] for i in range(n))
-            b.append(total)
-        h_mat = np.array([[hess[a][s](*x, *z) for s in range(r)] for a in range(r)])
-        try:
-            zdot = np.linalg.solve(h_mat, np.array(b))
-        except np.linalg.LinAlgError:
-            raise RegularityError(
-                "velocity Hessian is singular at state %s" % ((tuple(x), tuple(z)),)
-            ) from None
-        return xdot, [float(v) for v in zdot]
-
-    return field, l_fun, e_fun
+    coords, r = model.bundle.base.coords, model.bundle.rank
+    z = [Expr.variable(v) for v in velocities]
+    xdot = [sum(z[a] * model.anchor[a, i] for a in range(r)) for i in range(len(coords))]
+    momenta = [lagrangian.diff(v) for v in velocities]
+    force = [
+        sum(
+            model.anchor[g, i] * lagrangian.diff(x) - p.diff(x) * xdot[i]
+            for i, x in enumerate(coords)
+        )
+        for g, p in enumerate(momenta)
+    ]
+    return xdot, force, model.structure, momenta, _energy_expr(lagrangian, velocities)
 
 
 def el_rhs(problem, x, z):
     """Right-hand side (xdot, zdot) of the Lagrange equations at (x, z).
 
-    xdot^i = rho^i_alpha z^alpha, and zdot solves
+    xdot^i = rho^i_alpha z^alpha and zdot = H^-1 b, derived exactly,
+    with H the velocity Hessian and
 
-        H zdot = rho^i_gamma dL/dx^i - C^alpha_{gamma beta} z^beta dL/dz^alpha
-                 - d2L/dx dz . xdot
+        b = rho^i_gamma dL/dx^i - C^alpha_{gamma beta} z^beta dL/dz^alpha
+            - d2L/dx dz . xdot
 
-    with H the velocity Hessian, inverted numerically at the state.
+    A state where H is singular raises RegularityError.
     """
-    field, _, _ = _el_field(problem)
-    return field([float(v) for v in x], [float(v) for v in z])
+    flow, _ = problem._flow
+    values = flow(*map(float, x), *map(float, z))
+    return values[: len(x)], values[len(x) : -1]
 
 
 def solve_el(problem):
     """RK4 trajectory of the Lagrange flow, with energy per sample."""
     coords = problem.model.bundle.base.coords
-    n, r = len(coords), problem.model.bundle.rank
-    field, l_fun, e_fun = _el_field(problem)
+    n = len(coords)
+    flow, e_fun = problem._flow
 
     def f(t, y):
-        x, z = y[:n], y[n : n + r]
-        xdot, zdot = field(x, z)
-        return xdot + zdot + [l_fun(*x, *z)]
+        return flow(*y[:-1])
 
     def sample(t, y):
-        x, z = y[:n], y[n : n + r]
-        return tuple(x), tuple(z), e_fun(*x, *z)
+        state = y[:-1]
+        return tuple(state[:n]), tuple(state[n:]), e_fun(*state)
 
     y0 = list(map(float, problem.x0)) + list(map(float, problem.z0)) + [0.0]
     columns = _rk4(f, sample, y0, problem.horizon, problem.dt, "the Lagrange equations")

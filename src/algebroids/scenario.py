@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .algebroid import AlgebroidModel
 from .bundle import Bundle, Chart, GeometryError, make_coord_map
-from .control import ControlSystem, ELProblem, RegularityError
+from .control import ControlSystem, ELProblem, RegularityError, step_count
 from .matcalc import FMatrix
 from .symexpr import ExprError, ParseError, parse as parse_expr
 
@@ -179,17 +179,13 @@ class _Loader:
         return int(value)
 
     def steps(self, block, block_line, data):
-        """horizon and dt of a block: positive, horizon a whole number of steps."""
+        """horizon and dt of a block, checked by control.step_count."""
         horizon = self.number(block, data["horizon"][0])
         dt = self.number(block, data["dt"][0])
-        if horizon <= 0 or dt <= 0:
-            self.fail(block, block_line, "horizon and dt must be positive")
-        if (horizon / dt).denominator != 1:
-            self.fail(
-                block,
-                block_line,
-                "horizon %s is not a whole number of steps of dt = %s" % (horizon, dt),
-            )
+        try:
+            step_count(horizon, dt)
+        except ValueError as err:
+            self.fail(block, block_line, str(err))
         return horizon, dt
 
     def names(self, pieces):
@@ -336,14 +332,13 @@ class _Loader:
         if name in self.maps:
             self.fail(label, block["line"], "map declared twice")
         data = self.as_dict(block, label, required=("forward", "inverse"))
-        fwd = [
-            self.expr(label, (part.strip(),) + data["forward"][0][1:], self.chart.coords)
-            for part in data["forward"][0][0].split(",")
-        ]
-        inv = [
-            self.expr(label, (part.strip(),) + data["inverse"][0][1:], self.chart.coords)
-            for part in data["inverse"][0][0].split(",")
-        ]
+        fwd, inv = (
+            [
+                self.expr(label, (part.strip(),) + data[key][0][1:], self.chart.coords)
+                for part in data[key][0][0].split(",")
+            ]
+            for key in ("forward", "inverse")
+        )
         try:
             self.maps[name] = make_coord_map(self.chart, self.chart, fwd, inv)
         except GeometryError as err:

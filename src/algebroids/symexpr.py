@@ -829,6 +829,10 @@ def _name_ok(name):
 #   factor := ("+" | "-") factor | power
 #   power  := atom ("^" integer)?
 #   atom   := integer | variable | "(" expr ")"
+#
+# Parentheses and signs nest by recursion, so their depth is capped.
+
+MAX_NESTING = 100
 
 
 def _tokenize(text):
@@ -865,6 +869,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.vars = variables
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -879,6 +884,15 @@ class _Parser:
         if tok[0] != kind:
             raise ParseError("expected %s" % what, tok[2])
         return tok
+
+    def nested(self, parse, tok):
+        """parse() one level deeper than tok; past MAX_NESTING, a ParseError."""
+        if self.depth == MAX_NESTING:
+            raise ParseError("nesting deeper than %d levels" % MAX_NESTING, tok[2])
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def parse_expr(self):
         value = self.parse_term()
@@ -907,7 +921,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] in "+-":
             self.advance()
-            inner = self.parse_factor()
+            inner = self.nested(self.parse_factor, tok)
             return inner if tok[0] == "+" else -inner
         return self.parse_power()
 
@@ -928,7 +942,7 @@ class _Parser:
                 raise ParseError("unknown variable %r" % tok[1], tok[2])
             return Expr.variable(tok[1])
         if tok[0] == "(":
-            value = self.parse_expr()
+            value = self.nested(self.parse_expr, tok)
             self.expect(")", "a closing parenthesis")
             return value
         raise ParseError("expected a number, variable or parenthesis", tok[2])
@@ -974,14 +988,16 @@ def equals(a, b):
     return a == b
 
 
-def compile_expr(expr, names):
-    """Turn expr into a float function of the given argument names, in order."""
-    index = {name: i for i, name in enumerate(names)}
-    slots = [index[v] for v in expr.vars]
+def compile_expr(exprs, names):
+    """Compile Exprs into one float function of the given argument names.
 
-    def poly_src(p):
-        if not p:
-            return "0.0"
+    A single Expr gives a function returning a float, a sequence of
+    Exprs one returning the list of their values; a pole at the
+    arguments raises ZeroDivisionError.
+    """
+    index = {name: i for i, name in enumerate(names)}
+
+    def poly_src(p, slots):
         terms = []
         for mono, c in sorted(p.items()):
             parts = [repr(float(c))]
@@ -991,10 +1007,18 @@ def compile_expr(expr, names):
                 elif e:
                     parts.append("a%d**%d" % (slots[i], e))
             terms.append("*".join(parts))
-        return " + ".join(terms)
+        return " + ".join(terms) or "0.0"
 
+    def expr_src(expr):
+        slots = [index[v] for v in expr.vars]
+        body = poly_src(expr.num, slots)
+        if not _pisone(expr.den):
+            body = "(%s) / (%s)" % (body, poly_src(expr.den, slots))
+        return body
+
+    if isinstance(exprs, Expr):
+        body = expr_src(exprs)
+    else:
+        body = "[%s]" % ", ".join(map(expr_src, exprs))
     args = ", ".join("a%d" % i for i in range(len(names)))
-    body = poly_src(expr.num)
-    if not _pisone(expr.den):
-        body = "(%s) / (%s)" % (body, poly_src(expr.den))
     return eval("lambda %s: %s" % (args, body), {})

@@ -370,6 +370,50 @@ def test_euler_lagrange_singular_hessian_exits_three(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_simulate_blow_up_exits_three(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path,
+        """\
+        [chart]
+        coords = x1
+
+        [control]
+        M = [x1^2]
+        inputs = u1
+        lagrangian = u1^2
+
+        [controls]
+        u1 = 1
+
+        [simulate]
+        x0 = 1
+        horizon = 2
+        dt = 1/100
+        """,
+    )
+    assert run(["simulate", "--scenario", path]) == (3, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: blow-up in system matrix, Lagrangian or input signal at t=1."
+    )
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_deep_nesting_exits_three(tmp_path, capsys):
+    entry = "(" * 3000 + "x1" + ")" * 3000
+    path = write_scenario(
+        tmp_path, "[chart]\ncoords = x1\n\n[matrix R]\nrows = [%s]\n" % entry
+    )
+    assert run(["pinv", "--scenario", path, "--matrix", "R"]) == (3, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 5, [matrix R]: column 108: "
+        "nesting deeper than 100 levels (at position 100)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "horizon, dt, message",
     [
@@ -416,6 +460,20 @@ def test_module_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "10/10 checks passed"
+
+
+def test_cli_does_not_import_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, algebroids.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_console_script_is_installed():

@@ -23,6 +23,7 @@ from algebroids import (
     solve_el,
     verify_transform,
 )
+from algebroids.control import step_count
 
 from helpers import chart
 
@@ -133,6 +134,58 @@ def test_integrate_reports_poles(data):
     assert err.value.state == (0.0,)
 
 
+def test_integrate_reports_blow_up():
+    # xdot = x^2 from x = 1 leaves every float range shortly after t = 1.
+    ch = chart(1)
+    square = ControlSystem(
+        ch, FMatrix([[parse("x1^2", ch.coords)]]), ("y1",), parse("y1^2", ("y1",))
+    )
+    with pytest.raises(TrajectoryError, match="blow-up in system matrix") as err:
+        integrate(square, lambda t: (1,), (1,), Fraction(2), Fraction(1, 100))
+    assert 1.0 < err.value.time < 2.0
+    assert all(math.isfinite(v) for v in err.value.state)
+    # Here the products go to inf without an OverflowError; the new
+    # state is what gives the blow-up away.
+    steep = ControlSystem(
+        ch, FMatrix([[parse("10^200*x1", ch.coords)]]), ("y1",), parse("y1^2", ("y1",))
+    )
+    with pytest.raises(TrajectoryError, match="blow-up in system matrix") as err:
+        integrate(steep, lambda t: (1,), (1,), Fraction(1), Fraction(1, 10))
+    assert err.value.time == 0.0
+    assert err.value.state == (1.0,)
+
+
+@pytest.mark.parametrize(
+    "horizon, dt, message",
+    [
+        (Fraction(1), Fraction(0), "horizon and dt must be positive"),
+        (Fraction(-1), Fraction(1, 10), "horizon and dt must be positive"),
+        (Fraction(1), Fraction(3, 10), "horizon 1 is not a whole number of steps"),
+    ],
+)
+def test_library_runs_take_whole_steps(data, worked_el, horizon, dt, message):
+    with pytest.raises(ValueError, match=message):
+        step_count(horizon, dt)
+    with pytest.raises(ValueError, match=message):
+        integrate(data.sys_tilde, lambda t: (1, 0, 0), (0, 0, 0), horizon, dt)
+    with pytest.raises(ValueError, match=message):
+        ELProblem(
+            worked_el.model,
+            worked_el.lagrangian,
+            worked_el.velocities,
+            worked_el.x0,
+            worked_el.z0,
+            horizon,
+            dt,
+        )
+
+
+def test_step_count():
+    assert step_count(Fraction(1), Fraction(1, 1000)) == 1000
+    assert step_count(3, Fraction(3, 10)) == 10
+    assert step_count(Fraction(1, 2), Fraction(1, 2)) == 1
+
+
 # ------------------------------------------------------------- Lagrange flow
 
 
@@ -192,6 +245,32 @@ def test_el_rhs_flags_singular_states(worked_el):
     )
     with pytest.raises(RegularityError, match="singular at state"):
         el_rhs(scaled, (0, 1, 1), (1, 0))
+
+
+def test_el_flow_is_derived_once_per_problem(worked_el, monkeypatch):
+    import algebroids.control as control
+
+    calls = []
+    derive = control._el_runtime
+
+    def counted(*args):
+        calls.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(control, "_el_runtime", counted)
+    problem = ELProblem(
+        worked_el.model,
+        worked_el.lagrangian,
+        worked_el.velocities,
+        worked_el.x0,
+        worked_el.z0,
+        Fraction(1, 10),
+        Fraction(1, 100),
+    )
+    assert el_rhs(problem, (1, 1, 1), (0.5, 0.25)) == ([0.75, 0.25, 0.25], [-0.125, 0.25])
+    el_rhs(problem, (2, 1, 1), (1, 0))
+    solve_el(problem)
+    assert len(calls) == 1
 
 
 def test_solve_el_matches_closed_forms(worked_el):

@@ -62,6 +62,35 @@ def test_parse_error_positions():
         assert info.value.position == position, text
 
 
+def test_parse_caps_nesting_depth():
+    from algebroids.symexpr import MAX_NESTING
+
+    k = MAX_NESTING
+    assert parse("(" * k + "x1" + ")" * k, XY) == Expr.variable("x1")
+    assert parse("-" * k + "x1", XY) == Expr.variable("x1")
+    for text, position in [
+        ("(" * (k + 1) + "x1" + ")" * (k + 1), k),
+        ("1 + " + "-(" * k + "x1" + ")" * k, 4 + 2 * (k // 2)),
+        ("(" * 3000 + "x1" + ")" * 3000, k),
+    ]:
+        with pytest.raises(ParseError, match="nesting deeper than %d" % k) as info:
+            parse(text, XY)
+        assert info.value.position == position
+
+
+def test_compile_expr_one_or_many():
+    from algebroids.symexpr import compile_expr
+
+    f = parse("x1^2/x2", XY)
+    g = parse("x1 - 3", ("x1",))
+    single = compile_expr(f, ("x2", "x1"))
+    many = compile_expr([f, g, Expr.constant(0)], ("x2", "x1"))
+    assert single(2.0, 3.0) == 4.5
+    assert many(2.0, 3.0) == [4.5, 0.0, 0.0]
+    with pytest.raises(ZeroDivisionError):
+        many(0.0, 1.0)
+
+
 def test_parse_literal_zero_denominator():
     with pytest.raises(PoleError):
         parse("1/0", XY)
