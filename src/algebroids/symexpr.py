@@ -1,10 +1,13 @@
 """Exact multivariate rational functions over the rationals.
 
-An Expr is a quotient num/den of two polynomials with Fraction
+An Expr is a quotient num/den of two polynomials with rational
 coefficients in named variables.  A polynomial is stored sparsely as a
-dict mapping exponent tuples to nonzero Fractions: with variables
-("x1", "x2"), the dict {(1, 2): Fraction(3)} is 3*x1*x2^2.  The zero
-polynomial is the empty dict.
+dict mapping exponent tuples to nonzero coefficients, each an int or a
+Fraction: with variables ("x1", "x2"), the dict {(1, 2): 3} is
+3*x1*x2^2.  Whole numbers are built as ints and stay ints through ring
+arithmetic; only division makes Fractions.  An int and a Fraction of
+equal value compare, hash and print alike, so the coefficient types do
+not affect equality.  The zero polynomial is the empty dict.
 
 Canonical form, maintained by every operation:
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, sub
 
 __all__ = [
     "Expr",
@@ -55,8 +59,9 @@ class PoleError(ExprError, ZeroDivisionError):
 
 
 # ---------------------------------------------------------------------------
-# Raw polynomial helpers.  A "poly" is a dict {exponent tuple: Fraction},
-# all tuples of one length (the arity), no zero coefficients stored.
+# Raw polynomial helpers.  A "poly" is a dict {exponent tuple: int or
+# Fraction}, all tuples of one length (the arity), no zero coefficients
+# stored.
 
 
 def _grlex(mono):
@@ -73,7 +78,7 @@ def _pisconst(p):
 
 
 def _pone(arity):
-    return {(0,) * arity: Fraction(1)}
+    return {(0,) * arity: 1}
 
 
 def _pisone(p):
@@ -119,7 +124,7 @@ def _pmul(p, q):
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            mono = tuple(a + b for a, b in zip(m1, m2))
+            mono = tuple(map(add, m1, m2))
             s = out.get(mono, 0) + c1 * c2
             if s:
                 out[mono] = s
@@ -168,15 +173,34 @@ def _peval(p, vals):
     return total
 
 
+def _psubs(p, rows, one):
+    """The sum of c * prod_i rows[i][e_i] over the terms c * x^e of p."""
+    out = {}
+    for mono, c in p.items():
+        term = one
+        for row, e in zip(rows, mono):
+            term = _pmul(term, row[e])
+        for m, v in term.items():
+            s = out.get(m, 0) + c * v
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
 def _pdivexact(p, d):
     """Divide p by d; raises ArithmeticError unless the division is exact.
 
-    Integer polys (those inside _zgcd) are divided with divmod and stay
-    integer; polys with Fraction coefficients are divided over Q.
+    The division is over Z, with divmod, when every coefficient of both
+    is an int (as inside _zgcd), so the quotient stays integer, and over
+    Q otherwise.  For the gcds that Expr divides by, a primitive poly
+    times an integer dividing the dividend's content, the two agree
+    (Gauss's lemma).
     """
     if not p:
         return p
-    integral = isinstance(next(iter(p.values())), int)
+    integral = all(type(c) is int for q in (p, d) for c in q.values())
     if _pisconst(d):
         c = d[next(iter(d))]
         if c == 1:
@@ -194,9 +218,10 @@ def _pdivexact(p, d):
     rem = dict(p)
     dlead = _plead(d)
     dlc = d[dlead]
+    inv = None if integral else Fraction(1, dlc)
     while rem:
         rlead = _plead(rem)
-        mono = tuple(a - b for a, b in zip(rlead, dlead))
+        mono = tuple(map(sub, rlead, dlead))
         if any(e < 0 for e in mono):
             raise ArithmeticError("inexact polynomial division")
         if integral:
@@ -204,11 +229,11 @@ def _pdivexact(p, d):
             if leftover:
                 raise ArithmeticError("inexact integer polynomial division")
         else:
-            c = rem[rlead] / dlc
+            c = rem[rlead] * inv
         quot[mono] = c
         # rem -= c * x^mono * d
         for dm, dc in d.items():
-            key = tuple(a + b for a, b in zip(mono, dm))
+            key = tuple(map(add, mono, dm))
             s = rem.get(key, 0) - c * dc
             if s:
                 rem[key] = s
@@ -480,19 +505,14 @@ def _canon(variables, num, den, reduced=False):
             num = _pdivexact(num, g)
             den = _pdivexact(den, g)
     # Trim after reduction: cancellation can make variables disappear.
-    used = set()
-    for mono in num:
-        used.update(i for i, e in enumerate(mono) if e)
-    for mono in den:
-        used.update(i for i, e in enumerate(mono) if e)
-    if len(used) < len(variables):
-        keep = sorted(used)
+    keep = [i for i, column in enumerate(zip(*num, *den)) if any(column)]
+    if len(keep) < len(variables):
         variables = tuple(variables[i] for i in keep)
         num = {tuple(m[i] for i in keep): c for m, c in num.items()}
         den = {tuple(m[i] for i in keep): c for m, c in den.items()}
     lc = den[_plead(den)]
     if lc != 1:
-        inv = 1 / lc
+        inv = Fraction(1, lc)
         num = {m: c * inv for m, c in num.items()}
         den = {m: c * inv for m, c in den.items()}
     return _expr(variables, num, den)
@@ -551,14 +571,14 @@ class Expr:
     def variable(cls, name):
         if not _name_ok(name):
             raise ExprError("bad variable name %r" % (name,))
-        return _expr((name,), {(1,): Fraction(1)}, {(0,): Fraction(1)})
+        return _expr((name,), {(1,): 1}, {(0,): 1})
 
     @classmethod
     def constant(cls, value):
         c = Fraction(value)
         if not c:
             return ZERO
-        return _expr((), {(): c}, {(): Fraction(1)})
+        return _expr((), {(): c.numerator if c.denominator == 1 else c}, {(): 1})
 
     # -- predicates ---------------------------------------------------
 
@@ -574,7 +594,7 @@ class Expr:
             raise ExprError("not a constant: %s" % self)
         if not self.num:
             return Fraction(0)
-        return self.num[()] / self.den[()]
+        return Fraction(self.num[()], self.den[()])
 
     # -- arithmetic ---------------------------------------------------
 
@@ -680,7 +700,13 @@ class Expr:
         return _canon(self.vars, num, _pmul(self.den, self.den))
 
     def subs(self, mapping):
-        """Substitute Exprs (or numbers) for variables; unmapped variables stay."""
+        """Substitute Exprs (or numbers) for variables; unmapped variables stay.
+
+        With variable i replaced by a_i/b_i, num and den are both
+        multiplied through by prod b_i^D_i, D_i the largest exponent of
+        variable i in either, so each becomes a polynomial; the common
+        factor cancels.  Polynomial replacements keep the denominator 1.
+        """
         repl = {}
         for name, value in mapping.items():
             v = _coerce(value)
@@ -689,11 +715,24 @@ class Expr:
             repl[name] = v
         if not any(name in repl for name in self.vars):
             return self
-        num = _subs_poly(self.vars, self.num, repl)
-        den = _subs_poly(self.vars, self.den, repl)
-        if den.is_zero():
+        images = [repl[v] if v in repl else Expr.variable(v) for v in self.vars]
+        variables = tuple(sorted(set().union(*(e.vars for e in images))))
+        pos = {v: i for i, v in enumerate(variables)}
+        arity = len(variables)
+        one = _pone(arity)
+        rows = []  # rows[i][k] = a_i^k * b_i^(D_i - k)
+        for e, top in zip(images, map(max, zip(*self.num, *self.den))):
+            a = _embed(e.num, e.vars, pos, arity)
+            b = _embed(e.den, e.vars, pos, arity)
+            pa, pb = [one], [one]
+            for _ in range(top):
+                pa.append(_pmul(pa[-1], a))
+                pb.append(_pmul(pb[-1], b))
+            rows.append([_pmul(pa[k], pb[top - k]) for k in range(top + 1)])
+        den = _psubs(self.den, rows, one)
+        if not den:
             raise PoleError("substitution makes the denominator identically zero")
-        return num / den
+        return _canon(variables, _psubs(self.num, rows, one), den)
 
     def evaluate(self, point):
         """Exact Fraction value of the Expr at a point {name: rational}."""
@@ -751,34 +790,8 @@ class Expr:
         return "Expr(%r)" % (str(self),)
 
 
-ZERO = _expr((), {}, {(): Fraction(1)})
-ONE = _expr((), {(): Fraction(1)}, {(): Fraction(1)})
-
-
-def _subs_poly(variables, p, repl):
-    # Precompute replacement powers up to the largest exponent needed.
-    maxes = [0] * len(variables)
-    for mono in p:
-        for i, e in enumerate(mono):
-            if e > maxes[i]:
-                maxes[i] = e
-    powers = []
-    for i, name in enumerate(variables):
-        base = repl.get(name)
-        if base is None:
-            base = Expr.variable(name)
-        row = [ONE]
-        for _ in range(maxes[i]):
-            row.append(row[-1] * base)
-        powers.append(row)
-    total = ZERO
-    for mono, c in p.items():
-        term = Expr.constant(c)
-        for i, e in enumerate(mono):
-            if e:
-                term = term * powers[i][e]
-        total = total + term
-    return total
+ZERO = _expr((), {}, {(): 1})
+ONE = _expr((), {(): 1}, {(): 1})
 
 
 def _fmt_mono(variables, mono):
@@ -830,9 +843,11 @@ def _name_ok(name):
 #   power  := atom ("^" integer)?
 #   atom   := integer | variable | "(" expr ")"
 #
-# Parentheses and signs nest by recursion, so their depth is capped.
+# Parentheses and signs nest by recursion, so their depth is capped;
+# exponents are capped too, before any power is taken.
 
 MAX_NESTING = 100
+MAX_EXPONENT = 1000
 
 
 def _tokenize(text):
@@ -930,7 +945,10 @@ class _Parser:
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int", "a nonnegative integer exponent")
-            return base ** int(tok[1])
+            digits = tok[1].lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ParseError("exponent larger than %d" % MAX_EXPONENT, tok[2])
+            return base ** int(digits)
         return base
 
     def parse_atom(self):

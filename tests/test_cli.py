@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -412,6 +413,85 @@ def test_deep_nesting_exits_three(tmp_path, capsys):
         "error: line 5, [matrix R]: column 108: "
         "nesting deeper than 100 levels (at position 100)\n"
     )
+
+
+def test_huge_exponent_exits_three(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path, "[chart]\ncoords = x1\n\n[matrix R]\nrows = [x1^999999999]\n"
+    )
+    assert run(["pinv", "--scenario", path, "--matrix", "R"]) == (3, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 5, [matrix R]: column 11: "
+        "exponent larger than 1000 (at position 3)\n"
+    )
+
+
+FUZZ_COMMANDS = (
+    ["check"],
+    ["compose"],
+    ["pinv", "--matrix", "R"],
+    ["simulate"],
+    ["euler-lagrange"],
+)
+FUZZ_JUNK = (
+    "]", "[", "1/0", "((", "x^", "=", ",", "xt1^", "^2", "^1001", "/", "/xt1", "0*", "-",
+    "0", "C[",
+)
+
+
+def _mutant(rng, lines):
+    """Delete, swap or insert junk into the lines, one to three times."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(3)
+        if kind == 0 and lines:
+            del lines[rng.randrange(len(lines))]
+        elif kind == 1 and len(lines) > 1:
+            i, j = rng.sample(range(len(lines)), 2)
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            junk = rng.choice(FUZZ_JUNK)
+            i = rng.randrange(len(lines) + 1)
+            if i < len(lines) and rng.random() < 0.7:
+                k = rng.randint(0, len(lines[i]))
+                lines[i] = lines[i][:k] + junk + lines[i][k:]
+            else:
+                lines.insert(i, junk)
+    return "\n".join(lines) + "\n"
+
+
+def test_fuzzed_bundled_scenario_never_crashes(tmp_path, capsys):
+    """Mutants of the bundled scenario exit 0, 1 or 3, never with a traceback.
+
+    The trajectories and the random check are shortened first, so that
+    the mutants that still load run quickly.
+    """
+    from algebroids.verify import BUNDLED_SCENARIO
+
+    text = BUNDLED_SCENARIO.read_text(encoding="utf-8")
+    text = text.replace("horizon = 5", "horizon = 1/10").replace("samples = 20", "samples = 2")
+    lines = text.splitlines()
+    rng = random.Random(4242)
+    path = tmp_path / "mutant.scn"
+    statuses = set()
+    for k in range(200):
+        path.write_text(_mutant(rng, lines), encoding="utf-8")
+        argv = FUZZ_COMMANDS[k % len(FUZZ_COMMANDS)] + [
+            "--scenario", str(path), "--out", str(tmp_path / "out")
+        ]
+        try:
+            status, _ = run(argv)
+        except Exception as crash:
+            pytest.fail("%s raised %r on:\n%s" % (argv[0], crash, path.read_text()))
+        err = capsys.readouterr().err
+        assert status in (0, 1, 3), (argv, path.read_text(), err)
+        assert "Traceback" not in err
+        if status == 3:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        statuses.add(status)
+    assert statuses >= {0, 3}
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from algebroids import (
     parse,
     substitute,
 )
-from helpers import random_poly, random_rational
+from helpers import random_fraction, random_poly, random_rational
 
 XY = ("x1", "x2")
 XYZ = ("x1", "x2", "x3")
@@ -136,6 +136,26 @@ def test_differentiate_quotient():
     assert differentiate(e, "x1") == expected
 
 
+def test_parse_caps_exponents(monkeypatch):
+    from algebroids.symexpr import MAX_EXPONENT
+
+    k = MAX_EXPONENT
+    assert parse("x1^%d" % k, XY) == Expr.variable("x1") ** k
+    assert parse("x1^0002", XY) == parse("x1^2", XY)
+    # Refused before any power is taken: a power here fails the test.
+    monkeypatch.setattr(Expr, "__pow__", lambda self, n: pytest.fail("took a power"))
+    for text in [
+        "x1^%d" % (k + 1),
+        "x1^999999999",
+        "1 + (x1 + x2)^99999999999999999999",
+        "x1^" + "0" * 5000 + "1001",
+        "x1^" + "9" * 5000,
+    ]:
+        with pytest.raises(ParseError, match="exponent larger than %d" % k) as info:
+            parse(text, XY)
+        assert info.value.position == text.index("^") + 1
+
+
 def test_substitute_examples():
     assert substitute(parse("x1^2", XYZ), {"x1": parse("-x1", XYZ)}) == parse(
         "x1^2", XYZ
@@ -153,6 +173,62 @@ def test_substitute_partial_map_keeps_other_variables():
 def test_substitute_pole():
     with pytest.raises(PoleError):
         substitute(parse("1/x1", XY), {"x1": parse("0*x1", XY)})
+
+
+def test_substitution_agrees_with_evaluation_on_a_seeded_corpus():
+    """e.subs(s) at p equals e at s(p), exactly, for rational e and s."""
+    x1, x2, x3 = (Expr.variable(v) for v in XYZ)
+    cases = [
+        (parse("1/(x1 + 1) + x1*x2", XYZ), {"x1": Expr.constant(0)}),
+        (parse("(x1^2 - x3)/(x2 + 2)", XYZ), {"x2": Fraction(-3, 2), "x3": 4}),
+        (parse("x1*x2*x3 - x2^3", XYZ), {"x2": x1 - x3}),
+        (parse("x1/(x1 - x2)", XYZ), {"x1": x2 / x3, "x2": 1 / (x3 + 1)}),
+        (parse("x1^2*x2 + 1", XYZ), {"x1": x2 * x3, "x2": x1, "x3": x2}),
+    ]
+    rng = random.Random(1009)
+    for trial in range(120):
+        sigma = {}
+        for name in XYZ:
+            pick = rng.random()
+            if pick < 0.15:
+                continue  # a partial map keeps the variable
+            if pick < 0.25:
+                sigma[name] = Expr.constant(0)
+            elif pick < 0.35:
+                sigma[name] = Expr.constant(random_fraction(rng))
+            elif trial % 2:
+                sigma[name] = random_poly(rng, XYZ)
+            else:
+                sigma[name] = random_rational(rng, XYZ)
+        cases.append((random_rational(rng, XYZ), sigma))
+
+    def image_of(point, sigma):
+        out = dict(point)
+        for name, value in sigma.items():
+            out[name] = value.evaluate(point) if isinstance(value, Expr) else value
+        return out
+
+    checked = 0
+    for e, sigma in cases:
+        points = [{name: random_fraction(rng) for name in XYZ} for _ in range(3)]
+        try:
+            image = e.subs(sigma)
+        except PoleError:
+            # only when the denominator of e vanishes on the whole image
+            for point in points:
+                with pytest.raises(PoleError):
+                    e.evaluate(image_of(point, sigma))
+            continue
+        for point in points:
+            try:
+                want = e.evaluate(image_of(point, sigma))
+            except PoleError:
+                continue
+            assert image.evaluate(point) == want, (e, sigma, point)
+            checked += 1
+    assert checked > 250
+    with pytest.raises(PoleError):
+        parse("1/x1", XY).subs({"x1": parse("0*x1", XY)})
 
 
 def test_evaluate_examples():
@@ -306,6 +382,36 @@ def test_exact_division_and_power_keep_the_coefficient_domain():
     assert _pdivexact(three, {(0,): 2}) == {(1,): Fraction(3, 2), (0,): Fraction(3, 2)}
     with pytest.raises(ArithmeticError):
         _pdivexact(three, {(1,): Fraction(1), (0,): Fraction(2)})
+
+
+def test_whole_coefficients_are_ints():
+    from algebroids.symexpr import _pdivexact
+
+    def kinds(e):
+        return {type(c) for c in (*e.num.values(), *e.den.values())}
+
+    a = parse("2*x1^2 - 3*x2 + 1", XY)
+    b = parse("x1*x2 - 5", XY)
+    for e in (a, b, a * b, a + b, a - b, -a, a**3, a.diff("x1"), (a * b).subs({"x1": b})):
+        assert kinds(e) == {int}, e
+    assert kinds(Expr.variable("x1")) == kinds(Expr.constant(4)) == {int}
+    # Fractions of whole value are the same Expr as ints
+    two = Expr.constant(Fraction(6, 3))
+    assert two == Expr.constant(2) and hash(two) == hash(Expr.constant(2))
+    assert kinds(two) == {int}
+    half = a / 2
+    assert Fraction in kinds(half)
+    assert half * 2 == a and hash(half * 2) == hash(a) and str(half * 2) == str(a)
+    value = parse("6", XY).constant_value()
+    assert value == 6 and type(value) is Fraction
+    assert type(Expr.constant(0).constant_value()) is Fraction
+    # an int-and-Fraction dividend is divided over Q, never by divmod
+    mixed = {(1,): 1, (0,): Fraction(1, 2)}  # x + 1/2
+    for quot, want in [
+        (_pdivexact(mixed, {(1,): 2, (0,): 1}), Fraction(1, 2)),
+        (_pdivexact({(1,): 2, (0,): 1}, mixed), 2),
+    ]:
+        assert quot == {(0,): want} and type(quot[(0,)]) is Fraction
 
 
 # ------------------------------------------------- gcd: GCDHEU against PRS
