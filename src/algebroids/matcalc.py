@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 
-from .symexpr import Expr, ExprError, _coerce, _expr, _pone
+from .symexpr import Expr, ExprError, _coerce, _fmt_poly, _monic
 
 __all__ = [
     "FMatrix",
@@ -98,10 +98,6 @@ class FMatrix:
         if not isinstance(other, FMatrix):
             return NotImplemented
         return self.entries == other.entries
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash(self.entries)
@@ -252,4 +248,4 @@ def left_pseudo_inverse(r):
 
 def _locus(det):
     # The zero locus of a rational function is that of its numerator.
-    return _expr(det.vars, det.num, _pone(len(det.vars)))
+    return _fmt_poly(det.vars, _monic(det)[0])

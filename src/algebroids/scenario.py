@@ -132,8 +132,13 @@ def _split_blocks(lines):
 class _Loader:
     def __init__(self, path):
         self.path = path
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
+        with open(path, "rb") as f:
+            data = f.read()
+        try:
+            lines = data.decode("utf-8").splitlines()
+        except UnicodeDecodeError as err:
+            line = data.count(b"\n", 0, err.start) + 1
+            raise ScenarioError("line %d: not UTF-8 text" % line) from None
         self.blocks = _split_blocks(lines)
         self.chart = None
         self.bundle = None

@@ -1,25 +1,27 @@
 """Exact multivariate rational functions over the rationals.
 
-An Expr is a quotient num/den of two polynomials with rational
+An Expr is a quotient num/den of two polynomials with integer
 coefficients in named variables.  A polynomial is stored sparsely as a
-dict mapping exponent tuples to nonzero coefficients, each an int or a
-Fraction: with variables ("x1", "x2"), the dict {(1, 2): 3} is
-3*x1*x2^2.  Whole numbers are built as ints and stay ints through ring
-arithmetic; only division makes Fractions.  An int and a Fraction of
-equal value compare, hash and print alike, so the coefficient types do
-not affect equality.  The zero polynomial is the empty dict.
+dict mapping exponent tuples to nonzero ints: with variables ("x1",
+"x2"), the dict {(1, 2): 3} is 3*x1*x2^2.  The zero polynomial is the
+empty dict.  A rational coefficient lives in den, so x1/2 is the pair
+x1, 2.
 
 Canonical form, maintained by every operation:
 
 * the variable tuple is sorted and contains only variables that occur,
-* gcd(num, den) = 1,
-* den is monic in its graded-lex leading coefficient, so den is the
-  constant 1 exactly when the value is a polynomial.
+* num and den are coprime in Z[x], integer content included,
+* the graded-lex leading coefficient of den is positive, so den is the
+  constant 1 exactly when the value is a polynomial with integer
+  coefficients.
 
 Structural equality of canonical forms therefore agrees with equality
 of rational functions, which is what makes the exact golden tests in
-this package possible.  Exprs are immutable and hashable; everything
-here is a pure function.
+this package possible.  Fractions appear only at the edges: as input to
+Expr.constant, as the value of constant_value and evaluate, and in
+_monic, which scales num and den by 1/lc(den) for printing and
+compiling.  Exprs are immutable and hashable; everything here is a pure
+function.
 """
 
 from __future__ import annotations
@@ -59,9 +61,8 @@ class PoleError(ExprError, ZeroDivisionError):
 
 
 # ---------------------------------------------------------------------------
-# Raw polynomial helpers.  A "poly" is a dict {exponent tuple: int or
-# Fraction}, all tuples of one length (the arity), no zero coefficients
-# stored.
+# Raw polynomial helpers.  A "poly" is a dict {exponent tuple: int},
+# all tuples of one length (the arity), no zero coefficients stored.
 
 
 def _grlex(mono):
@@ -105,13 +106,6 @@ def _pneg(p):
 
 def _psub(p, q):
     return _padd(p, _pneg(q))
-
-
-def _pscale(p, c):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {mono: cf * c for mono, cf in p.items()}
 
 
 def _pmul(p, q):
@@ -190,23 +184,13 @@ def _psubs(p, rows, one):
 
 
 def _pdivexact(p, d):
-    """Divide p by d; raises ArithmeticError unless the division is exact.
-
-    The division is over Z, with divmod, when every coefficient of both
-    is an int (as inside _zgcd), so the quotient stays integer, and over
-    Q otherwise.  For the gcds that Expr divides by, a primitive poly
-    times an integer dividing the dividend's content, the two agree
-    (Gauss's lemma).
-    """
+    """Divide p by d over Z; raises ArithmeticError unless the division is exact."""
     if not p:
         return p
-    integral = all(type(c) is int for q in (p, d) for c in q.values())
     if _pisconst(d):
         c = d[next(iter(d))]
         if c == 1:
             return p
-        if not integral:
-            return _pscale(p, Fraction(1) / c)
         out = {}
         for m, v in p.items():
             quot, rem = divmod(v, c)
@@ -218,18 +202,14 @@ def _pdivexact(p, d):
     rem = dict(p)
     dlead = _plead(d)
     dlc = d[dlead]
-    inv = None if integral else Fraction(1, dlc)
     while rem:
         rlead = _plead(rem)
         mono = tuple(map(sub, rlead, dlead))
         if any(e < 0 for e in mono):
             raise ArithmeticError("inexact polynomial division")
-        if integral:
-            c, leftover = divmod(rem[rlead], dlc)
-            if leftover:
-                raise ArithmeticError("inexact integer polynomial division")
-        else:
-            c = rem[rlead] * inv
+        c, leftover = divmod(rem[rlead], dlc)
+        if leftover:
+            raise ArithmeticError("inexact integer polynomial division")
         quot[mono] = c
         # rem -= c * x^mono * d
         for dm, dc in d.items():
@@ -242,9 +222,8 @@ def _pdivexact(p, d):
     return quot
 
 
-# GCD over the integers.  Rational coefficients are cleared to integers
-# first (_zclear), integer contents are split off, and then two methods
-# run in turn:
+# GCD over the integers.  Integer contents are split off, and then two
+# methods run in turn:
 #
 # * GCDHEU (Char, Geddes, Gonnet, J. Symbolic Comput. 1989), tried
 #   first: evaluate both polys at a large integer xi in one shared
@@ -318,15 +297,6 @@ def _uprem(a, b):
         lbp = _ppow(lb, needed - steps)
         a = {e: _pmul(c, lbp) for e, c in a.items()}
     return a
-
-
-def _zclear(p):
-    """Scale a poly to integer coefficients (constant factors are free)."""
-    mult = 1
-    for c in p.values():
-        d = c.denominator if isinstance(c, Fraction) else 1
-        mult = mult * d // math.gcd(mult, d)
-    return {m: int(c * mult) for m, c in p.items()}
 
 
 def _zcontent(p):
@@ -404,7 +374,7 @@ def _zheu(p, q, i):
 
 
 def _zgcd(p, q):
-    """Gcd of two nonzero integer polys, integer-primitive, lead > 0."""
+    """Gcd in Z[x] of two nonzero integer polys, integer content included, lead > 0."""
     ip, iq = _zcontent(p), _zcontent(q)
     g0 = math.gcd(ip, iq)
     if ip != 1:
@@ -461,18 +431,10 @@ def _zprs(p, q, i):
 
 
 def _pgcd(p, q):
-    """A gcd of two polys, up to a constant factor; gcd(0, q) is q.
-
-    Callers re-normalize (the canonical form keeps denominators monic),
-    so the result is integer-primitive rather than monic.
-    """
-    if not p:
-        return q
-    if not q:
-        return p
+    """The gcd of two nonzero polys in Z[x], integer content included, lead > 0."""
     if _pisconst(p) or _pisconst(q):
-        return _pone(len(next(iter(p))))
-    return _zgcd(_zclear(p), _zclear(q))
+        return {(0,) * len(next(iter(p))): math.gcd(_zcontent(p), _zcontent(q))}
+    return _zgcd(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +472,8 @@ def _canon(variables, num, den, reduced=False):
         variables = tuple(variables[i] for i in keep)
         num = {tuple(m[i] for i in keep): c for m, c in num.items()}
         den = {tuple(m[i] for i in keep): c for m, c in den.items()}
-    lc = den[_plead(den)]
-    if lc != 1:
-        inv = Fraction(1, lc)
-        num = {m: c * inv for m, c in num.items()}
-        den = {m: c * inv for m, c in den.items()}
+    if den[_plead(den)] < 0:
+        num, den = _pneg(num), _pneg(den)
     return _expr(variables, num, den)
 
 
@@ -578,7 +537,7 @@ class Expr:
         c = Fraction(value)
         if not c:
             return ZERO
-        return _expr((), {(): c.numerator if c.denominator == 1 else c}, {(): 1})
+        return _expr((), {(): c.numerator}, {(): c.denominator})
 
     # -- predicates ---------------------------------------------------
 
@@ -682,7 +641,7 @@ class Expr:
             return self
         if not self.num:
             return ZERO
-        # num/den reduced implies num^k/den^k reduced; den stays monic.
+        # num/den reduced implies num^k/den^k reduced, and lc(den^k) > 0.
         return _canon(self.vars, _ppow(self.num, k), _ppow(self.den, k), reduced=True)
 
     # -- calculus and composition ------------------------------------
@@ -693,8 +652,9 @@ class Expr:
             return ZERO
         i = self.vars.index(name)
         dn = _pderiv(self.num, i)
-        if _pisone(self.den):
-            return _canon(self.vars, dn, self.den, reduced=True)
+        if _pisconst(self.den):
+            # Only the integer content of dn and den can cancel.
+            return _canon(self.vars, dn, self.den)
         dd = _pderiv(self.den, i)
         num = _psub(_pmul(dn, self.den), _pmul(self.num, dd))
         return _canon(self.vars, num, _pmul(self.den, self.den))
@@ -758,10 +718,6 @@ class Expr:
             and self.den == other.den
         )
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         h = self._hash
         if h is None:
@@ -779,12 +735,10 @@ class Expr:
         return bool(self.num)
 
     def __str__(self):
-        if _pisone(self.den):
-            return _fmt_poly(self.vars, self.num)
-        return "(%s)/(%s)" % (
-            _fmt_poly(self.vars, self.num),
-            _fmt_poly(self.vars, self.den),
-        )
+        num, den = _monic(self)
+        if _pisone(den):
+            return _fmt_poly(self.vars, num)
+        return "(%s)/(%s)" % (_fmt_poly(self.vars, num), _fmt_poly(self.vars, den))
 
     def __repr__(self):
         return "Expr(%r)" % (str(self),)
@@ -792,6 +746,17 @@ class Expr:
 
 ZERO = _expr((), {}, {(): 1})
 ONE = _expr((), {(): 1}, {(): 1})
+
+
+def _monic(e):
+    """num and den of e divided by lc(den), the form that is printed and compiled."""
+    lc = e.den[_plead(e.den)]
+    if lc == 1:
+        return e.num, e.den
+    return (
+        {m: Fraction(c, lc) for m, c in e.num.items()},
+        {m: Fraction(c, lc) for m, c in e.den.items()},
+    )
 
 
 def _fmt_mono(variables, mono):
@@ -954,7 +919,12 @@ class _Parser:
     def parse_atom(self):
         tok = self.advance()
         if tok[0] == "int":
-            return Expr.constant(int(tok[1]))
+            try:
+                return Expr.constant(int(tok[1]))
+            except ValueError:  # past Python's limit on integer digits
+                raise ParseError(
+                    "integer literal too long (%d digits)" % len(tok[1]), tok[2]
+                ) from None
         if tok[0] == "name":
             if tok[1] not in self.vars:
                 raise ParseError("unknown variable %r" % tok[1], tok[2])
@@ -1011,14 +981,23 @@ def compile_expr(exprs, names):
 
     A single Expr gives a function returning a float, a sequence of
     Exprs one returning the list of their values; a pole at the
-    arguments raises ZeroDivisionError.
+    arguments raises ZeroDivisionError.  A coefficient beyond float range
+    raises ExprError.
     """
     index = {name: i for i, name in enumerate(names)}
 
-    def poly_src(p, slots):
+    def poly_src(p, variables):
+        slots = [index[v] for v in variables]
         terms = []
         for mono, c in sorted(p.items()):
-            parts = [repr(float(c))]
+            try:
+                parts = [repr(float(c))]
+            except OverflowError:
+                m = _fmt_mono(variables, mono)
+                raise ExprError(
+                    "%s is beyond float range"
+                    % ("coefficient of " + m if m else "constant term")
+                ) from None
             for i, e in enumerate(mono):
                 if e == 1:
                     parts.append("a%d" % slots[i])
@@ -1028,10 +1007,10 @@ def compile_expr(exprs, names):
         return " + ".join(terms) or "0.0"
 
     def expr_src(expr):
-        slots = [index[v] for v in expr.vars]
-        body = poly_src(expr.num, slots)
-        if not _pisone(expr.den):
-            body = "(%s) / (%s)" % (body, poly_src(expr.den, slots))
+        num, den = _monic(expr)
+        body = poly_src(num, expr.vars)
+        if not _pisone(den):
+            body = "(%s) / (%s)" % (body, poly_src(den, expr.vars))
         return body
 
     if isinstance(exprs, Expr):

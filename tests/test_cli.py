@@ -428,6 +428,55 @@ def test_huge_exponent_exits_three(tmp_path, capsys):
     )
 
 
+def test_overlong_integer_literal_exits_three(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path, "[chart]\ncoords = x1\n\n[matrix R]\nrows = [x1 + %s]\n" % ("5" * 5000)
+    )
+    assert run(["pinv", "--scenario", path, "--matrix", "R"]) == (3, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 5, [matrix R]: column 13: "
+        "integer literal too long (5000 digits) (at position 5)\n"
+    )
+
+
+def test_non_utf8_scenario_exits_three(tmp_path, capsys):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(b"[chart]\ncoords = x1\n# caf\xe9\n")
+    assert run(["check", "--scenario", str(path)]) == (3, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: not UTF-8 text\n"
+
+
+def test_coefficient_beyond_float_range_exits_three(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path,
+        """\
+        [chart]
+        coords = x1
+
+        [control]
+        M = [1]
+        inputs = y1
+        lagrangian = 10^400*y1^2
+
+        [controls]
+        y1 = 1
+
+        [simulate]
+        x0 = 0
+        horizon = 1
+        dt = 1/10
+        """,
+    )
+    assert run(["simulate", "--scenario", path]) == (3, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coefficient of y1^2 is beyond float range\n"
+
+
 FUZZ_COMMANDS = (
     ["check"],
     ["compose"],

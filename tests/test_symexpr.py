@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -363,7 +364,7 @@ def test_random_ring_axioms_at_points():
 def test_exact_division_and_power_keep_the_coefficient_domain():
     from algebroids.symexpr import _pdivexact, _ppow
 
-    # integer polys, as inside the gcd: divmod, results stay int
+    # divmod over Z: results stay int
     x1 = {(1,): 1, (0,): 1}  # x + 1
     cube = _ppow({(1,): 2, (0,): 2}, 3)  # (2x + 2)^3
     assert cube == {(3,): 8, (2,): 24, (1,): 24, (0,): 8}
@@ -372,21 +373,19 @@ def test_exact_division_and_power_keep_the_coefficient_domain():
     assert all(type(c) is int for c in quot.values())
     assert _pdivexact({(1,): 4, (0,): 2}, {(0,): 2}) == {(1,): 2, (0,): 1}
     assert _ppow(x1, 0) == {(0,): 1}
+    # a division that is exact over Q but not over Z is refused
     with pytest.raises(ArithmeticError):
         _pdivexact({(1,): 3, (0,): 3}, {(1,): 2, (0,): 2})
     with pytest.raises(ArithmeticError):
         _pdivexact({(1,): 4, (0,): 2}, {(0,): 4})
-    # Fraction polys divide over Q, also by an integer divisor
-    three = {(1,): Fraction(3), (0,): Fraction(3)}
-    assert _pdivexact(three, {(1,): 2, (0,): 2}) == {(0,): Fraction(3, 2)}
-    assert _pdivexact(three, {(0,): 2}) == {(1,): Fraction(3, 2), (0,): Fraction(3, 2)}
-    with pytest.raises(ArithmeticError):
-        _pdivexact(three, {(1,): Fraction(1), (0,): Fraction(2)})
+    # powers and quotients of Exprs with rational coefficients stay int
+    e = parse("(2*x1 + 1)/(4*x2)", XY)
+    assert e**3 == parse("(8*x1^3 + 12*x1^2 + 6*x1 + 1)/(64*x2^3)", XY)
+    assert (e**3).den == {(0, 3): 64}
+    assert e**3 / parse("2*x1 + 1", XY) == parse("(2*x1 + 1)^2/(64*x2^3)", XY)
 
 
 def test_whole_coefficients_are_ints():
-    from algebroids.symexpr import _pdivexact
-
     def kinds(e):
         return {type(c) for c in (*e.num.values(), *e.den.values())}
 
@@ -399,19 +398,46 @@ def test_whole_coefficients_are_ints():
     two = Expr.constant(Fraction(6, 3))
     assert two == Expr.constant(2) and hash(two) == hash(Expr.constant(2))
     assert kinds(two) == {int}
+    # a rational coefficient goes into den; printing divides it back out
     half = a / 2
-    assert Fraction in kinds(half)
+    assert kinds(half) == {int}
+    assert half.num == a.num and half.den == {(0, 0): 2}
+    assert str(half) == "x1^2 - 3/2*x2 + 1/2"
     assert half * 2 == a and hash(half * 2) == hash(a) and str(half * 2) == str(a)
+    third = Expr.constant(Fraction(-2, 6))
+    assert (third.num, third.den) == ({(): -1}, {(): 3})
     value = parse("6", XY).constant_value()
     assert value == 6 and type(value) is Fraction
     assert type(Expr.constant(0).constant_value()) is Fraction
-    # an int-and-Fraction dividend is divided over Q, never by divmod
-    mixed = {(1,): 1, (0,): Fraction(1, 2)}  # x + 1/2
-    for quot, want in [
-        (_pdivexact(mixed, {(1,): 2, (0,): 1}), Fraction(1, 2)),
-        (_pdivexact({(1,): 2, (0,): 1}, mixed), 2),
-    ]:
-        assert quot == {(0,): want} and type(quot[(0,)]) is Fraction
+    assert parse("-6/4", XY).constant_value() == Fraction(-3, 2)
+
+
+def _assert_canonical(e):
+    """Integer coefficients, num and den jointly primitive, lc(den) > 0."""
+    from algebroids.symexpr import _plead
+
+    coeffs = [*e.num.values(), *e.den.values()]
+    assert all(type(c) is int for c in coeffs), e
+    assert math.gcd(*coeffs) == 1, e
+    assert e.den[_plead(e.den)] > 0, e
+    assert list(e.vars) == sorted(e.vars)
+    assert all(any(column) for column in zip(*e.num, *e.den)), e
+
+
+def test_canonical_form_is_integer_and_primitive_on_a_seeded_corpus():
+    rng = random.Random(1101)
+    for _ in range(150):
+        a = random_rational(rng, XYZ)
+        b = random_rational(rng, XYZ)
+        exprs = [a, b, parse(str(a), XYZ), a + b, a - b, a * b, -a, a**2, a.diff("x1")]
+        if not b.is_zero():
+            exprs.append(a / b)
+        try:
+            exprs.append(a.subs({"x2": b, "x3": Fraction(rng.randint(-3, 3), rng.randint(1, 4))}))
+        except PoleError:
+            pass
+        for e in exprs:
+            _assert_canonical(e)
 
 
 # ------------------------------------------------- gcd: GCDHEU against PRS
@@ -493,16 +519,28 @@ def test_gcd_heuristic_matches_prs_on_a_seeded_corpus(monkeypatch):
 
 def test_gcd_heuristic_matches_prs_over_the_rationals(monkeypatch):
     from algebroids import symexpr
-    from algebroids.symexpr import _pgcd
+    from algebroids.symexpr import _align, _pgcd
+
+    def rational(p):
+        """The Expr of an arity-3 poly with each coefficient over 1..6."""
+        total = Expr.constant(0)
+        for mono, c in p.items():
+            term = Expr.constant(Fraction(c, rng.randint(1, 6)))
+            for name, e in zip(XYZ, mono):
+                term = term * Expr.variable(name) ** e
+            total = total + term
+        return total
 
     rng = random.Random(3002)
     for _, p, q in _gcd_corpus(3003, 60):
-        p = {m: Fraction(c, rng.randint(1, 6)) for m, c in p.items()}
-        q = {m: Fraction(c * rng.randint(1, 4), rng.randint(1, 6)) for m, c in q.items()}
-        fast = _pgcd(p, q)
+        a, b = rational(p), rational(q)
+        _, n1, _, n2, _ = _align(a, b)
+        results = [_pgcd(n1, n2), a / b, a * b, a + b]
         with monkeypatch.context() as m:
             m.setattr(symexpr, "_zheu", lambda p, q, i: None)
-            assert _pgcd(p, q) == fast
+            assert [_pgcd(n1, n2), a / b, a * b, a + b] == results
+        for e in results[1:]:
+            _assert_canonical(e)
 
 
 def test_gcd_heuristic_removes_contents_at_every_level():
@@ -535,10 +573,10 @@ def test_gcd_heuristic_removes_contents_at_every_level():
 def test_gcd_heuristic_skips_points_where_an_image_vanishes(
     monkeypatch, left, right, quotient
 ):
-    from algebroids.symexpr import _zclear, _zgcd
+    from algebroids.symexpr import _zgcd
 
     a, b = parse(left, XYZ), parse(right, XYZ)
-    p, q = _zclear(a.num), _zclear(b.num)
+    p, q = a.num, b.num
     assert _zgcd(p, q) == _prs_gcd(monkeypatch, p, q)
     assert _zgcd(q, p) == _prs_gcd(monkeypatch, q, p)
     assert str(a / b) == quotient
