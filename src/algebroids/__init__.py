@@ -4,6 +4,10 @@ The package keeps every structural computation in the field of rational
 functions with exact rational coefficients: coordinate changes, bundle
 morphisms, brackets, anchors, and the pseudo-inverse reduction chain.
 Floating point enters only in the trajectory integrators.
+
+builtin_data and verify_paper load the verify module on first use, so
+that a process that does not re-derive the worked example never
+imports it.
 """
 
 from .symexpr import (
@@ -11,8 +15,6 @@ from .symexpr import (
     ExprError,
     ParseError,
     PoleError,
-    differentiate,
-    equals,
     evaluate,
     parse,
     substitute,
@@ -38,7 +40,6 @@ from .bundle import (
     compose,
     compose_maps,
     identity_map,
-    identity_morphism,
     make_coord_map,
     pullback,
     tangent_bundle,
@@ -68,7 +69,6 @@ from .control import (
 )
 from .scenario import Scenario, ScenarioError, load_scenario
 from .report import Report
-from .verify import builtin_data, verify_paper
 
 __version__ = "0.1.0"
 
@@ -78,10 +78,8 @@ __all__ = [
     "ParseError",
     "PoleError",
     "parse",
-    "differentiate",
     "substitute",
     "evaluate",
-    "equals",
     "FMatrix",
     "RankDropWarning",
     "SingularMatrixError",
@@ -104,7 +102,6 @@ __all__ = [
     "tangent_lift",
     "apply_morphism",
     "compose",
-    "identity_morphism",
     "AlgebroidModel",
     "BulletInstance",
     "anchor_derivation",
@@ -130,3 +127,11 @@ __all__ = [
     "builtin_data",
     "verify_paper",
 ]
+
+
+def __getattr__(name):
+    if name in ("builtin_data", "verify_paper"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -25,13 +25,10 @@ The Jacobi convention used throughout is the cyclic sum
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import Record
 from .bundle import (
-    Bundle,
-    Chart,
-    CoordMap,
     GeometryError,
     Section,
     VBMorphism,
@@ -60,8 +57,7 @@ _ZERO = Expr.constant(0)
 _ONE = Expr.constant(1)
 
 
-@dataclass(frozen=True)
-class AlgebroidModel:
+class AlgebroidModel(Record):
     """Frame bundle, anchor, structure functions and base maps h, eta.
 
     structure[alpha][beta][gamma] is C^gamma_{alpha beta}; the
@@ -70,32 +66,25 @@ class AlgebroidModel:
     (1-based, with antisymmetric partners filled in automatically).
     """
 
-    bundle: Bundle
-    anchor: FMatrix
-    h: CoordMap
-    eta: CoordMap
-    structure: tuple
+    _fields = ("bundle", "anchor", "h", "eta", "structure")
 
-    def __post_init__(self):
-        r = self.bundle.rank
-        n = self.bundle.base.dim
-        if self.anchor.shape() != (r, n):
+    def __init__(self, bundle, anchor, h, eta, structure):
+        r = bundle.rank
+        n = bundle.base.dim
+        if anchor.shape() != (r, n):
             raise GeometryError(
                 "anchor must be %dx%d (frame rows, coordinate columns), got %dx%d"
-                % ((r, n) + self.anchor.shape())
+                % ((r, n) + anchor.shape())
             )
-        allowed = set(self.bundle.base.coords)
-        for row in self.anchor.entries:
+        allowed = set(bundle.base.coords)
+        for row in anchor.entries:
             for e in row:
                 if set(e.vars) - allowed:
                     raise GeometryError("anchor entry %s uses foreign variables" % e)
-        for m, label in ((self.h, "h"), (self.eta, "eta")):
-            if m.src != self.bundle.base or m.dst != self.bundle.base:
+        for m, label in ((h, "h"), (eta, "eta")):
+            if m.src != bundle.base or m.dst != bundle.base:
                 raise GeometryError("base map %s must map the base chart to itself" % label)
-        cube = tuple(
-            tuple(tuple(row) for row in plane) for plane in self.structure
-        )
-        object.__setattr__(self, "structure", cube)
+        cube = tuple(tuple(tuple(row) for row in plane) for plane in structure)
         if len(cube) != r or any(
             len(plane) != r or any(len(row) != r for row in plane) for plane in cube
         ):
@@ -109,6 +98,7 @@ class AlgebroidModel:
                             "C^%d_{%d,%d} != -C^%d_{%d,%d}"
                             % (g + 1, a + 1, b + 1, g + 1, b + 1, a + 1)
                         )
+        self._set(bundle, anchor, h, eta, cube)
 
     @classmethod
     def from_table(cls, bundle, anchor, table, h=None, eta=None):
@@ -359,24 +349,22 @@ def _frame_cycles(br, bundle):
 # The bullet bracket on derivations twisted by a module endomorphism
 
 
-@dataclass(frozen=True)
-class BulletInstance:
+class BulletInstance(Record):
     """Derivations of the rational functions on a chart, twisted by rho.
 
     rho is an m x m matrix over the chart: the endomorphism sends the
     basis derivation d_j to rho[j][i] * d_i (row j = image of d_j).
     """
 
-    chart: Chart
-    rho: FMatrix
+    _fields = ("chart", "rho")
 
-    def __post_init__(self):
-        m = self.chart.dim
-        if self.rho.shape() != (m, m):
+    def __init__(self, chart, rho):
+        m = chart.dim
+        if rho.shape() != (m, m):
             raise GeometryError(
-                "endomorphism matrix must be %dx%d, got %dx%d"
-                % ((m, m) + self.rho.shape())
+                "endomorphism matrix must be %dx%d, got %dx%d" % ((m, m) + rho.shape())
             )
+        self._set(chart, rho)
 
     @property
     def bundle(self):

@@ -13,8 +13,7 @@ source frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .matcalc import FMatrix, matmul
 from .symexpr import Expr, parse as parse_expr
 
@@ -33,7 +32,6 @@ __all__ = [
     "tangent_lift",
     "apply_morphism",
     "compose",
-    "identity_morphism",
     "pullback",
 ]
 
@@ -46,20 +44,18 @@ class NotDiffeomorphismError(GeometryError):
     """A coordinate map whose forward/inverse components do not invert."""
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     """A named global coordinate chart."""
 
-    name: str
-    coords: tuple
+    _fields = ("name", "coords")
 
-    def __post_init__(self):
-        coords = tuple(self.coords)
-        object.__setattr__(self, "coords", coords)
+    def __init__(self, name, coords):
+        coords = tuple(coords)
         if len(coords) < 1:
-            raise GeometryError("chart %s has no coordinates" % self.name)
+            raise GeometryError("chart %s has no coordinates" % name)
         if len(set(coords)) != len(coords):
-            raise GeometryError("chart %s repeats a coordinate name" % self.name)
+            raise GeometryError("chart %s repeats a coordinate name" % name)
+        self._set(name, coords)
 
     @property
     def dim(self):
@@ -75,8 +71,7 @@ class Chart:
         return parse_expr(text, self.coords)
 
 
-@dataclass(frozen=True)
-class CoordMap:
+class CoordMap(Record):
     """A rational diffeomorphism between charts.
 
     forward[j] writes target coordinate j in source coordinates;
@@ -84,35 +79,31 @@ class CoordMap:
     round trips are verified symbolically at construction.
     """
 
-    src: Chart
-    dst: Chart
-    forward: tuple
-    inverse: tuple
+    _fields = ("src", "dst", "forward", "inverse")
 
-    def __post_init__(self):
-        fwd = tuple(self.forward)
-        inv = tuple(self.inverse)
-        object.__setattr__(self, "forward", fwd)
-        object.__setattr__(self, "inverse", inv)
-        if len(fwd) != self.dst.dim or len(inv) != self.src.dim:
+    def __init__(self, src, dst, forward, inverse):
+        fwd = tuple(forward)
+        inv = tuple(inverse)
+        if len(fwd) != dst.dim or len(inv) != src.dim:
             raise GeometryError(
                 "map %s -> %s needs %d forward and %d inverse components"
-                % (self.src.name, self.dst.name, self.dst.dim, self.src.dim)
+                % (src.name, dst.name, dst.dim, src.dim)
             )
-        to_src = dict(zip(self.src.coords, inv))
-        to_dst = dict(zip(self.dst.coords, fwd))
+        to_src = dict(zip(src.coords, inv))
+        to_dst = dict(zip(dst.coords, fwd))
         for j, comp in enumerate(fwd):
-            if comp.subs(to_src) != Expr.variable(self.dst.coords[j]):
+            if comp.subs(to_src) != Expr.variable(dst.coords[j]):
                 raise NotDiffeomorphismError(
                     "not a diffeomorphism as presented: forward component %d "
                     "does not invert" % (j + 1)
                 )
         for i, comp in enumerate(inv):
-            if comp.subs(to_dst) != Expr.variable(self.src.coords[i]):
+            if comp.subs(to_dst) != Expr.variable(src.coords[i]):
                 raise NotDiffeomorphismError(
                     "not a diffeomorphism as presented: inverse component %d "
                     "does not invert" % (i + 1)
                 )
+        self._set(src, dst, fwd, inv)
 
     def inverse_map(self):
         return CoordMap(self.dst, self.src, self.inverse, self.forward)
@@ -162,20 +153,18 @@ def pullback(f, cmap):
     return f.subs(dict(zip(cmap.dst.coords, cmap.forward)))
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(Record):
     """A trivialized vector bundle: a base chart plus frame names."""
 
-    base: Chart
-    frame: tuple
+    _fields = ("base", "frame")
 
-    def __post_init__(self):
-        frame = tuple(self.frame)
-        object.__setattr__(self, "frame", frame)
+    def __init__(self, base, frame):
+        frame = tuple(frame)
         if len(frame) < 1:
             raise GeometryError("bundle needs a nonempty frame")
         if len(set(frame)) != len(frame):
             raise GeometryError("bundle repeats a frame name")
+        self._set(base, frame)
 
     @property
     def rank(self):
@@ -194,9 +183,6 @@ class Bundle:
         coeffs[index] = Expr.constant(1)
         return Section(self, tuple(coeffs))
 
-    def zero_section(self):
-        return Section(self, (Expr.constant(0),) * self.rank)
-
 
 def _as_expr(value):
     if isinstance(value, Expr):
@@ -209,22 +195,18 @@ def tangent_bundle(chart):
     return Bundle(chart, tuple("d" + name for name in chart.coords))
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(Record):
     """A section written in the bundle's frame: sum of coeffs[a] * frame[a]."""
 
-    bundle: Bundle
-    coeffs: tuple
+    _fields = ("bundle", "coeffs")
 
-    def __post_init__(self):
-        coeffs = tuple(_as_expr(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if len(coeffs) != self.bundle.rank:
+    def __init__(self, bundle, coeffs):
+        coeffs = tuple(_as_expr(c) for c in coeffs)
+        if len(coeffs) != bundle.rank:
             raise GeometryError(
-                "section needs %d coefficients, got %d"
-                % (self.bundle.rank, len(coeffs))
+                "section needs %d coefficients, got %d" % (bundle.rank, len(coeffs))
             )
-        allowed = set(self.bundle.base.coords)
+        allowed = set(bundle.base.coords)
         for c in coeffs:
             extra = set(c.vars) - allowed
             if extra:
@@ -232,6 +214,7 @@ class Section:
                     "section coefficient %s uses foreign variables %s"
                     % (c, sorted(extra))
                 )
+        self._set(bundle, coeffs)
 
     def __add__(self, other):
         if not isinstance(other, Section) or other.bundle != self.bundle:
@@ -274,29 +257,25 @@ class Section:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-@dataclass(frozen=True)
-class VBMorphism:
+class VBMorphism(Record):
     """A vector-bundle morphism: component matrix over a base map.
 
     matrix[alpha][a] is the coefficient of target frame element a in the
     image of source frame element alpha, written over the SOURCE chart.
     """
 
-    source: Bundle
-    target: Bundle
-    base: CoordMap
-    matrix: FMatrix
+    _fields = ("source", "target", "base", "matrix")
 
-    def __post_init__(self):
-        if self.base.src != self.source.base or self.base.dst != self.target.base:
+    def __init__(self, source, target, base, matrix):
+        if base.src != source.base or base.dst != target.base:
             raise GeometryError("base map does not connect the two bundles")
-        if self.matrix.shape() != (self.source.rank, self.target.rank):
+        if matrix.shape() != (source.rank, target.rank):
             raise GeometryError(
                 "morphism matrix must be %dx%d, got %dx%d"
-                % ((self.source.rank, self.target.rank) + self.matrix.shape())
+                % ((source.rank, target.rank) + matrix.shape())
             )
-        allowed = set(self.source.base.coords)
-        for row in self.matrix.entries:
+        allowed = set(source.base.coords)
+        for row in matrix.entries:
             for e in row:
                 extra = set(e.vars) - allowed
                 if extra:
@@ -304,6 +283,7 @@ class VBMorphism:
                         "morphism entry %s uses foreign variables %s"
                         % (e, sorted(extra))
                     )
+        self._set(source, target, base, matrix)
 
     def display_matrix(self):
         """The matrix with entries transported to the target chart.
@@ -349,12 +329,6 @@ def compose(outer, inner):
         outer.target,
         compose_maps(outer.base, inner.base),
         matmul(inner.matrix, pulled),
-    )
-
-
-def identity_morphism(bundle):
-    return VBMorphism(
-        bundle, bundle, identity_map(bundle.base), FMatrix.identity(bundle.rank)
     )
 
 

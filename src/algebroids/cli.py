@@ -41,9 +41,8 @@ from .matcalc import (
     matmul,
 )
 from .report import Report
-from .scenario import ScenarioError, load_scenario
+from .scenario import BUNDLED_SCENARIO, ScenarioError, load_scenario
 from .symexpr import Expr, ExprError, compile_expr
-from .verify import BUNDLED_SCENARIO, verify_paper
 
 __all__ = ["run", "main"]
 
@@ -245,13 +244,19 @@ def _cmd_el(args):
     return report, traj
 
 
+def _cmd_verify_paper(args):
+    from .verify import verify_paper
+
+    return verify_paper(), None
+
+
 _COMMANDS = {
     "check": _cmd_check,
     "compose": _cmd_compose,
     "pinv": _cmd_pinv,
     "simulate": _cmd_simulate,
     "euler-lagrange": _cmd_el,
-    "verify-paper": lambda args: (verify_paper(), None),
+    "verify-paper": _cmd_verify_paper,
 }
 
 

@@ -12,12 +12,11 @@ RK4 grid).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .algebroid import AlgebroidModel
-from .bundle import Chart, GeometryError
+from ._record import Record
+from .bundle import GeometryError
 from .matcalc import FMatrix, adjugate_inverse, determinant
 from .symexpr import Expr, compile_expr
 
@@ -48,79 +47,66 @@ class RegularityError(Exception):
     """The velocity Hessian of the Lagrangian is singular."""
 
 
-@dataclass(frozen=True)
-class ControlSystem:
+class ControlSystem(Record):
     """xdot = M(x) * y with a running-cost Lagrangian L(x, y)."""
 
-    chart: Chart
-    matrix: FMatrix
-    inputs: tuple
-    lagrangian: Expr
+    _fields = ("chart", "matrix", "inputs", "lagrangian")
 
-    def __post_init__(self):
-        inputs = tuple(self.inputs)
-        object.__setattr__(self, "inputs", inputs)
-        n = self.chart.dim
-        if self.matrix.shape() != (n, n):
+    def __init__(self, chart, matrix, inputs, lagrangian):
+        inputs = tuple(inputs)
+        n = chart.dim
+        if matrix.shape() != (n, n):
             raise GeometryError(
-                "system matrix must be %dx%d, got %dx%d"
-                % ((n, n) + self.matrix.shape())
+                "system matrix must be %dx%d, got %dx%d" % ((n, n) + matrix.shape())
             )
         if len(inputs) != n or len(set(inputs)) != n:
             raise GeometryError("need %d distinct input names" % n)
-        allowed = set(self.chart.coords)
-        for row in self.matrix.entries:
+        allowed = set(chart.coords)
+        for row in matrix.entries:
             for e in row:
                 if set(e.vars) - allowed:
                     raise GeometryError("matrix entry %s uses foreign variables" % e)
-        if set(self.lagrangian.vars) - allowed - set(inputs):
+        if set(lagrangian.vars) - allowed - set(inputs):
             raise GeometryError("Lagrangian uses undeclared names")
+        self._set(chart, matrix, inputs, lagrangian)
 
 
-@dataclass(frozen=True)
-class ELProblem:
+class ELProblem(Record):
     """Lagrange dynamics on a classical model (h = eta = identity).
 
     lagrangian is an Expr in the base coordinates and the velocity
     names z^1..z^r; regularity (symbolically nonsingular velocity
     Hessian) and whole steps (step_count) are checked at construction,
-    and the Lagrange equations are compiled once, on first use.
+    and the Lagrange equations are compiled once, on first use.  The
+    velocity Hessian is kept as hessian, outside the fields.
     """
 
-    model: AlgebroidModel
-    lagrangian: Expr
-    velocities: tuple
-    x0: tuple
-    z0: tuple
-    horizon: Fraction
-    dt: Fraction
-    hessian: FMatrix = field(init=False, repr=False, compare=False)
+    _fields = ("model", "lagrangian", "velocities", "x0", "z0", "horizon", "dt")
 
-    def __post_init__(self):
-        velocities = tuple(self.velocities)
-        object.__setattr__(self, "velocities", velocities)
-        object.__setattr__(self, "x0", tuple(self.x0))
-        object.__setattr__(self, "z0", tuple(self.z0))
-        if not self.model.is_classical():
+    def __init__(self, model, lagrangian, velocities, x0, z0, horizon, dt):
+        velocities, x0, z0 = tuple(velocities), tuple(x0), tuple(z0)
+        if not model.is_classical():
             raise GeometryError(
                 "Lagrange dynamics here need identity base maps h and eta"
             )
-        r = self.model.bundle.rank
+        r = model.bundle.rank
         if len(velocities) != r or len(set(velocities)) != r:
             raise GeometryError("need %d distinct velocity names" % r)
-        if len(self.x0) != self.model.bundle.base.dim or len(self.z0) != r:
+        if len(x0) != model.bundle.base.dim or len(z0) != r:
             raise GeometryError("initial state sizes do not match the model")
-        allowed = set(self.model.bundle.base.coords) | set(velocities)
-        if set(self.lagrangian.vars) - allowed:
+        allowed = set(model.bundle.base.coords) | set(velocities)
+        if set(lagrangian.vars) - allowed:
             raise GeometryError("Lagrangian uses undeclared names")
-        step_count(self.horizon, self.dt)
-        lag = self.lagrangian
-        hess = FMatrix([[lag.diff(a).diff(b) for b in velocities] for a in velocities])
+        step_count(horizon, dt)
+        hess = FMatrix(
+            [[lagrangian.diff(a).diff(b) for b in velocities] for a in velocities]
+        )
         if determinant(hess).is_zero():
             raise RegularityError(
                 "velocity Hessian of the Lagrangian is identically singular"
             )
-        object.__setattr__(self, "hessian", hess)
+        self._set(model, lagrangian, velocities, x0, z0, horizon, dt)
+        self.__dict__["hessian"] = hess
 
     @cached_property
     def _flow(self):
@@ -158,24 +144,22 @@ class ELProblem:
         return checked, compile_expr(energy, names)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Sampled states, velocities/inputs, energy and running cost."""
 
-    times: tuple
-    states: tuple
-    velocities: tuple
-    energies: tuple
-    costs: tuple
-    state_names: tuple
-    velocity_names: tuple
+    _fields = (
+        "times", "states", "velocities", "energies", "costs",
+        "state_names", "velocity_names",
+    )
 
-    def __post_init__(self):
-        columns = self.times, self.states, self.velocities, self.energies, self.costs
-        if len(set(map(len, columns))) != 1:
+    def __init__(
+        self, times, states, velocities, energies, costs, state_names, velocity_names
+    ):
+        if len(set(map(len, (times, states, velocities, energies, costs)))) != 1:
             raise ValueError("trajectory arrays must have equal length")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("times must be strictly increasing")
+        self._set(times, states, velocities, energies, costs, state_names, velocity_names)
 
     @property
     def final_cost(self):

@@ -7,17 +7,16 @@ strings, renderable as text (one line per check) or as the JSON list
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One named verdict; a failing one carries its witnesses."""
 
-    check: str
-    passed: bool
-    witnesses: tuple = ()
+    _fields = ("check", "passed", "witnesses")
+
+    def __init__(self, check, passed, witnesses=()):
+        self._set(check, passed, witnesses)
 
     @property
     def witness(self):
@@ -30,9 +29,16 @@ class CheckResult:
         return "FAIL %s: %s" % (self.check, self.witness or "no witness")
 
 
-@dataclass
-class Report:
-    results: list = field(default_factory=list)
+class Report(Record):
+    """A list of CheckResults; unlike them, a Report can be changed."""
+
+    _fields = ("results",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, results=None):
+        self.results = [] if results is None else results
 
     def add(self, check, passed, witness=""):
         witnesses = (witness,) if witness else ()
@@ -58,6 +64,8 @@ class Report:
         return "\n".join(lines)
 
     def json(self):
+        import json
+
         return json.dumps(
             [
                 {"check": r.check, "pass": r.passed, "witness": r.witness}

@@ -25,9 +25,10 @@ a Scenario that loads is ready to use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
+from ._record import Record
 from .algebroid import AlgebroidModel
 from .bundle import Bundle, Chart, GeometryError, make_coord_map
 from .control import ControlSystem, ELProblem, RegularityError, step_count
@@ -35,6 +36,8 @@ from .matcalc import FMatrix
 from .symexpr import ExprError, ParseError, parse as parse_expr
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario"]
+
+BUNDLED_SCENARIO = Path(__file__).parent / "scenarios" / "worked_example.scn"
 
 _PLAIN_SECTIONS = {
     "chart",
@@ -55,28 +58,17 @@ class ScenarioError(Exception):
     """A scenario file that cannot be loaded; names the offending block."""
 
 
-@dataclass(frozen=True)
-class SimulateSpec:
-    x0: tuple
-    horizon: Fraction
-    dt: Fraction
+class SimulateSpec(Record):
+    _fields = ("x0", "horizon", "dt")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A loaded and validated scenario."""
 
-    chart: Chart
-    bundle: Bundle
-    model: AlgebroidModel
-    maps: dict
-    matrices: dict
-    control: ControlSystem
-    controls: dict
-    simulate: SimulateSpec
-    el: ELProblem
-    seed: int
-    samples: int
+    _fields = (
+        "chart", "bundle", "model", "maps", "matrices", "control", "controls",
+        "simulate", "el", "seed", "samples",
+    )
 
 
 def _is_header(stripped):

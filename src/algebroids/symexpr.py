@@ -36,10 +36,8 @@ __all__ = [
     "ParseError",
     "PoleError",
     "parse",
-    "differentiate",
     "substitute",
     "evaluate",
-    "equals",
     "compile_expr",
 ]
 
@@ -534,6 +532,8 @@ class Expr:
 
     @classmethod
     def constant(cls, value):
+        if type(value) is int:
+            return _expr((), {(): value}, {(): 1}) if value else ZERO
         c = Fraction(value)
         if not c:
             return ZERO
@@ -952,11 +952,6 @@ def parse(text, variables):
     return value
 
 
-def differentiate(e, name):
-    """Exact partial derivative of e with respect to the named variable."""
-    return e.diff(name)
-
-
 def substitute(e, mapping):
     """Compose e with the given variable replacements."""
     return e.subs(mapping)
@@ -967,13 +962,9 @@ def evaluate(e, point):
     return e.evaluate(point)
 
 
-def equals(a, b):
-    """True iff a - b normalizes to zero."""
-    a = _coerce(a)
-    b = _coerce(b)
-    if a is None or b is None:
-        raise ExprError("equals() wants Exprs or numbers")
-    return a == b
+# Terms per statement in compiled code: one long + chain overflows
+# Python's compiler, so a longer sum is added up a chunk at a time.
+_CHUNK = 200
 
 
 def compile_expr(exprs, names):
@@ -982,9 +973,11 @@ def compile_expr(exprs, names):
     A single Expr gives a function returning a float, a sequence of
     Exprs one returning the list of their values; a pole at the
     arguments raises ZeroDivisionError.  A coefficient beyond float range
-    raises ExprError.
+    raises ExprError.  Every sum is added from left to right, in chunks
+    of at most _CHUNK terms.
     """
     index = {name: i for i, name in enumerate(names)}
+    lines = []
 
     def poly_src(p, variables):
         slots = [index[v] for v in variables]
@@ -1004,7 +997,13 @@ def compile_expr(exprs, names):
                 elif e:
                     parts.append("a%d**%d" % (slots[i], e))
             terms.append("*".join(parts))
-        return " + ".join(terms) or "0.0"
+        if len(terms) <= _CHUNK:
+            return " + ".join(terms) or "0.0"
+        total = "s%d" % len(lines)
+        for k in range(0, len(terms), _CHUNK):
+            head = [total] if k else []
+            lines.append("%s = %s" % (total, " + ".join(head + terms[k : k + _CHUNK])))
+        return total
 
     def expr_src(expr):
         num, den = _monic(expr)
@@ -1017,5 +1016,8 @@ def compile_expr(exprs, names):
         body = expr_src(exprs)
     else:
         body = "[%s]" % ", ".join(map(expr_src, exprs))
-    args = ", ".join("a%d" % i for i in range(len(names)))
-    return eval("lambda %s: %s" % (args, body), {})
+    src = "def f(%s):\n" % ", ".join("a%d" % i for i in range(len(names)))
+    src += "".join("    %s\n" % line for line in lines + ["return " + body])
+    namespace = {}
+    exec(src, namespace)
+    return namespace["f"]

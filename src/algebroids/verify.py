@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, replace
-from importlib import resources
 
+from ._record import Record
 from .algebroid import (
     AlgebroidModel,
     anchor_derivation,
@@ -27,7 +26,6 @@ from .algebroid import (
     induced_anchor,
 )
 from .bundle import (
-    Bundle,
     Chart,
     VBMorphism,
     apply_morphism,
@@ -46,14 +44,10 @@ from .matcalc import (
     matmul,
 )
 from .report import Report
-from .scenario import load_scenario
+from .scenario import BUNDLED_SCENARIO, load_scenario
 from .symexpr import parse
 
 __all__ = ["BUNDLED_SCENARIO", "WorkedExample", "builtin_data", "verify_paper"]
-
-BUNDLED_SCENARIO = resources.files("algebroids").joinpath(
-    "scenarios", "worked_example.scn"
-)
 
 CHECKS = (
     "transform-equivalence",
@@ -69,29 +63,23 @@ CHECKS = (
 )
 
 
-@dataclass
-class WorkedExample:
-    """All inputs and expected outputs of the built-in example."""
+class WorkedExample(Record):
+    """All inputs and expected outputs of the built-in example.
 
-    x_chart: Chart
-    t_chart: Chart
-    mirror: object  # x chart -> t chart, both components -identity
-    s_o: object  # the same reflection as a self-map of the t chart
-    sys_hat: ControlSystem
-    sys_tilde: ControlSystem
-    frame: Bundle
-    tangent: Bundle
-    rho: FMatrix
-    r: FMatrix
-    g_display: FMatrix
-    m_tilde: FMatrix
-    rtr_expected: FMatrix
-    det_expected: object
-    rtr_inv_expected: FMatrix
-    r_left_expected: FMatrix
-    g_tilde_x_expected: FMatrix
-    classical: AlgebroidModel
-    generalized: AlgebroidModel
+    mirror maps the x chart to the t chart, both components minus the
+    identity; s_o is the same reflection as a self-map of the t chart.
+    Unlike the other records, a WorkedExample can be changed.
+    """
+
+    _fields = (
+        "x_chart", "t_chart", "mirror", "s_o", "sys_hat", "sys_tilde", "frame",
+        "tangent", "rho", "r", "g_display", "m_tilde", "rtr_expected",
+        "det_expected", "rtr_inv_expected", "r_left_expected",
+        "g_tilde_x_expected", "classical", "generalized",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
 
 def _mat(rows, names):
@@ -109,7 +97,7 @@ def builtin_data():
     x_chart = Chart("sigma", ("x1", "x2", "x3"))
     xn, tn = x_chart.coords, t_chart.coords
 
-    s_o = scen.maps["s_O"]
+    model, s_o = scen.model, scen.maps["s_O"]
     neg_x = tuple(-x_chart.var(c) for c in xn)
     mirror = make_coord_map(x_chart, t_chart, neg_x, s_o.inverse)
 
@@ -151,7 +139,7 @@ def builtin_data():
         sys_tilde=sys_tilde,
         frame=scen.bundle,
         tangent=tangent_bundle(t_chart),
-        rho=scen.model.anchor,
+        rho=model.anchor,
         r=scen.matrices["R"],
         g_display=g_display,
         m_tilde=sys_tilde.matrix,
@@ -160,8 +148,10 @@ def builtin_data():
         rtr_inv_expected=rtr_inv_expected,
         r_left_expected=r_left_expected,
         g_tilde_x_expected=g_tilde_x_expected,
-        classical=scen.model,
-        generalized=replace(scen.model, h=s_o, eta=s_o),
+        classical=model,
+        generalized=AlgebroidModel(
+            model.bundle, model.anchor, s_o, s_o, model.structure
+        ),
     )
 
 

@@ -15,7 +15,6 @@ from algebroids import (
     compose,
     compose_maps,
     identity_map,
-    identity_morphism,
     make_coord_map,
     parse,
     pullback,
@@ -116,7 +115,7 @@ def test_bundle_and_sections():
     z = b.section(["xt1", "1 + xt2"])
     assert z.coeffs == (parse("xt1", T3.coords), parse("1 + xt2", T3.coords))
     assert str(b.frame_section(0)) == "t1"
-    assert b.zero_section().is_zero()
+    assert b.section([0, 0]).is_zero()
     with pytest.raises(GeometryError):
         b.section(["xt1"])
     with pytest.raises(GeometryError):
@@ -172,7 +171,8 @@ def test_apply_morphism_anchor_rows():
 def test_identity_morphism_acts_trivially():
     b = Bundle(T3, ("t1", "t2"))
     z = b.section(["xt1*xt2", "1/(1 + xt3^2)"])
-    assert apply_morphism(identity_morphism(b), z) == z
+    ident = VBMorphism(b, b, identity_map(T3), FMatrix.identity(2))
+    assert apply_morphism(ident, z) == z
 
 
 def test_morphism_validation():
@@ -241,8 +241,11 @@ def test_reduction_composition_identity():
 
 def test_compose_with_identity():
     m = anchor_morphism()
-    assert compose(identity_morphism(m.target), m).matrix == m.matrix
-    assert compose(m, identity_morphism(m.source)).matrix == m.matrix
+    src, dst = m.source, m.target
+    ident_src = VBMorphism(src, src, identity_map(T3), FMatrix.identity(src.rank))
+    ident_dst = VBMorphism(dst, dst, identity_map(T3), FMatrix.identity(dst.rank))
+    assert compose(ident_dst, m).matrix == m.matrix
+    assert compose(m, ident_src).matrix == m.matrix
 
 
 def test_compose_rejects_mismatched_bundles():

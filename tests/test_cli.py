@@ -477,6 +477,44 @@ def test_coefficient_beyond_float_range_exits_three(tmp_path, capsys):
     assert captured.err == "error: coefficient of y1^2 is beyond float range\n"
 
 
+def test_simulate_compiles_a_large_flow(tmp_path, capsys):
+    # L expands to 4845 terms, too many for one + chain in Python's compiler.
+    path = write_scenario(
+        tmp_path,
+        """\
+        [chart]
+        coords = xt1, xt2, xt3
+
+        [control]
+        M = [1, 0, 0]
+            [0, 1, 0]
+            [0, 0, 1]
+        inputs = y1, y2, y3
+        lagrangian = (xt1 + xt2 + xt3 + y1 + 1)^16
+
+        [controls]
+        y1 = 0
+        y2 = 0
+        y3 = 1
+
+        [simulate]
+        x0 = 0, 0, 0
+        horizon = 1/10
+        dt = 1/20
+        """,
+    )
+    status, _ = run(["simulate", "--scenario", path])
+    captured = capsys.readouterr()
+    assert status == 0, captured.err
+    rows = captured.out.splitlines()
+    assert len(rows) == 4
+    # x3 = t, so RK4 integrates (t + 1)^16 by Simpson's rule on each step.
+    simpson = sum(
+        (1 + t) ** 16 + 4 * (1.025 + t) ** 16 + (1.05 + t) ** 16 for t in (0, 0.05)
+    ) * 0.05 / 6
+    assert float(rows[-1].split(",")[-1]) == pytest.approx(simpson, rel=1e-9)
+
+
 FUZZ_COMMANDS = (
     ["check"],
     ["compose"],
@@ -486,7 +524,7 @@ FUZZ_COMMANDS = (
 )
 FUZZ_JUNK = (
     "]", "[", "1/0", "((", "x^", "=", ",", "xt1^", "^2", "^1001", "/", "/xt1", "0*", "-",
-    "0", "C[",
+    "0", "C[", "9" * 5000, "10^400*",
 )
 
 
@@ -591,18 +629,32 @@ def test_module_runs_the_cli():
     assert done.stdout.splitlines()[-1] == "10/10 checks passed"
 
 
-def test_cli_does_not_import_numpy():
+@pytest.fixture(scope="module")
+def cli_imports():
+    """The modules a fresh interpreter holds after importing algebroids.cli.
+
+    Run with -S, so that no site hook preloads anything.
+    """
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, algebroids.cli; print('numpy' in sys.modules)"
+    probe = "import sys, algebroids.cli; print(' '.join(sys.modules))"
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-S", "-c", probe],
         capture_output=True,
         text=True,
         timeout=60,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    return set(done.stdout.split())
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["numpy", "dataclasses", "inspect", "json", "importlib.resources", "algebroids.verify"],
+)
+def test_cli_does_not_import(cli_imports, module):
+    assert "algebroids.cli" in cli_imports
+    assert module not in cli_imports
 
 
 def test_console_script_is_installed():
