@@ -33,6 +33,10 @@ __all__ = [
     "step_count",
 ]
 
+# A run keeps every sample: 10^5 steps of the bundled control system
+# hold 38 MB, so the cap bounds a run at a few hundred MB.
+_MAX_STEPS = 10**6
+
 
 class TrajectoryError(Exception):
     """Integration hit a pole or blew up; carries the time and state."""
@@ -185,7 +189,7 @@ class Trajectory(Record):
 
 
 def step_count(horizon, dt):
-    """Number of RK4 steps in horizon: both positive, horizon/dt whole."""
+    """Number of RK4 steps in horizon: both positive, horizon/dt whole, at most _MAX_STEPS."""
     horizon, dt = Fraction(horizon), Fraction(dt)
     if horizon <= 0 or dt <= 0:
         raise ValueError("horizon and dt must be positive")
@@ -193,6 +197,10 @@ def step_count(horizon, dt):
     if steps.denominator != 1:
         raise ValueError(
             "horizon %s is not a whole number of steps of dt = %s" % (horizon, dt)
+        )
+    if steps > _MAX_STEPS:
+        raise ValueError(
+            "horizon %s is %s steps of dt = %s, more than %d" % (horizon, steps, dt, _MAX_STEPS)
         )
     return int(steps)
 

@@ -24,9 +24,9 @@ a Scenario that loads is ready to use.
 
 from __future__ import annotations
 
+import os
 import re
 from fractions import Fraction
-from pathlib import Path
 
 from ._record import Record
 from .algebroid import AlgebroidModel
@@ -37,7 +37,7 @@ from .symexpr import ExprError, ParseError, parse as parse_expr
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario"]
 
-BUNDLED_SCENARIO = Path(__file__).parent / "scenarios" / "worked_example.scn"
+BUNDLED_SCENARIO = os.path.join(os.path.dirname(__file__), "scenarios", "worked_example.scn")
 
 _PLAIN_SECTIONS = {
     "chart",

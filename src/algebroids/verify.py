@@ -19,12 +19,7 @@ import functools
 import warnings
 
 from ._record import Record
-from .algebroid import (
-    AlgebroidModel,
-    anchor_derivation,
-    bracket,
-    induced_anchor,
-)
+from .algebroid import AlgebroidModel, bracket, induced_anchor
 from .bundle import (
     Chart,
     VBMorphism,
@@ -32,6 +27,7 @@ from .bundle import (
     compose,
     identity_map,
     make_coord_map,
+    pullback,
     tangent_bundle,
 )
 from .control import ControlSystem, verify_transform
@@ -271,11 +267,16 @@ def verify_paper(data=None):
         got = compose(tso, rho_eta)
         if got.matrix != theta.matrix or got.base != theta.base:
             return False, "composition through the tangent lift differs"
+        # the twisted derivation a(t_a)(f) = rho_a^i (d(f o h)/dx^i) o h^-1,
+        # from its definition, on each coordinate function f
+        model, coords = data.generalized, data.t_chart.coords
+        back = dict(zip(coords, model.h.inverse))
         for a in range(data.frame.rank):
-            u = data.frame.frame_section(a)
-            for j, name in enumerate(data.t_chart.coords):
-                f = data.t_chart.var(name)
-                lhs = anchor_derivation(data.generalized, u, f)
+            for j, name in enumerate(coords):
+                fh = pullback(data.t_chart.var(name), model.h)
+                lhs = sum(
+                    model.anchor[a, i] * fh.diff(x).subs(back) for i, x in enumerate(coords)
+                )
                 if lhs != theta.matrix[a, j]:
                     return False, "derivation of %s along %s is %s, not %s" % (
                         name,

@@ -126,6 +126,10 @@ def test_twisted_bracket_properties():
 
         assert op(f * g) == op(f) * g + f * op(g)
 
+        # applied to f, the bracket is that commutator operator
+        z = bullet_bracket(inst, x, y)
+        assert sum(c * f.diff(n) for c, n in zip(z.coeffs, names)) == op(f)
+
         if m == 2:
             # with rho = identity the construction is the Lie bracket
             ident = FMatrix(

@@ -557,7 +557,8 @@ def test_fuzzed_bundled_scenario_never_crashes(tmp_path, capsys):
     """
     from algebroids.verify import BUNDLED_SCENARIO
 
-    text = BUNDLED_SCENARIO.read_text(encoding="utf-8")
+    with open(BUNDLED_SCENARIO, encoding="utf-8") as f:
+        text = f.read()
     text = text.replace("horizon = 5", "horizon = 1/10").replace("samples = 20", "samples = 2")
     lines = text.splitlines()
     rng = random.Random(4242)
@@ -587,6 +588,7 @@ def test_fuzzed_bundled_scenario_never_crashes(tmp_path, capsys):
         ("1", "0", "horizon and dt must be positive"),
         ("-1", "1/10", "horizon and dt must be positive"),
         ("1", "3/10", "horizon 1 is not a whole number of steps of dt = 3/10"),
+        ("1000000000", "1", "horizon 1000000000 is 1000000000 steps of dt = 1, more than 1000000"),
     ],
 )
 def test_euler_lagrange_steps_are_validated(tmp_path, capsys, horizon, dt, message):
@@ -650,7 +652,10 @@ def cli_imports():
 
 @pytest.mark.parametrize(
     "module",
-    ["numpy", "dataclasses", "inspect", "json", "importlib.resources", "algebroids.verify"],
+    [
+        "numpy", "dataclasses", "inspect", "json", "importlib.resources", "pathlib",
+        "algebroids.verify",
+    ],
 )
 def test_cli_does_not_import(cli_imports, module):
     assert "algebroids.cli" in cli_imports

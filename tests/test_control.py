@@ -184,6 +184,9 @@ def test_step_count():
     assert step_count(Fraction(1), Fraction(1, 1000)) == 1000
     assert step_count(3, Fraction(3, 10)) == 10
     assert step_count(Fraction(1, 2), Fraction(1, 2)) == 1
+    assert step_count(1, Fraction(1, 10**6)) == 10**6
+    with pytest.raises(ValueError, match="is 1000000000 steps of dt = 1, more than 1000000"):
+        step_count(10**9, 1)
 
 
 # ------------------------------------------------------------- Lagrange flow
