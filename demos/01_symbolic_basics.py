@@ -5,7 +5,7 @@ Run as: python3 demos/01_symbolic_basics.py
 
 from fractions import Fraction
 
-from algebroids import PoleError, evaluate, parse, substitute
+from algebroids import PoleError, parse
 
 NAMES = ("x1", "x2")
 
@@ -31,9 +31,9 @@ print("df/dx2 =", f.diff("x2"))
 print("mixed partials agree:", f.diff("x1").diff("x2") == f.diff("x2").diff("x1"))
 
 # Substitution composes functions; evaluation lands in Fraction.
-g = substitute(f, {"x1": parse("-x1", NAMES)})
+g = f.subs({"x1": parse("-x1", NAMES)})
 print("f with x1 -> -x1:", g)
-print("f at (1, 1/2):", evaluate(f, {"x1": 1, "x2": Fraction(1, 2)}))
+print("f at (1, 1/2):", f.evaluate({"x1": 1, "x2": Fraction(1, 2)}))
 
 # Division by a function that is identically zero is refused up
 # front, and evaluation at a pole raises the same error type.
@@ -42,6 +42,6 @@ try:
 except PoleError as err:
     print("pole refused:", err)
 try:
-    evaluate(parse("1/x1", NAMES), {"x1": 0, "x2": 0})
+    parse("1/x1", NAMES).evaluate({"x1": 0, "x2": 0})
 except PoleError as err:
     print("pole at a point:", err)

@@ -63,8 +63,8 @@ plane = Chart("plane", ("x1", "x2"))
 pn = plane.coords
 ident = FMatrix([[parse("1", pn), parse("0", pn)], [parse("0", pn), parse("1", pn)]])
 plain = BulletInstance(plane, ident)
-x = plain.derivation(["x2", "1"])
-y = plain.derivation(["x1*x2", "x1"])
+x = plain.bundle.section(["x2", "1"])
+y = plain.bundle.section(["x1*x2", "x1"])
 print()
 print("[X, Y] with rho = I:", bullet_bracket(plain, x, y))
 print("identity rho:", check_bullet_jacobi(plain).text())

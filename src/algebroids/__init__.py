@@ -15,9 +15,7 @@ from .symexpr import (
     ExprError,
     ParseError,
     PoleError,
-    evaluate,
     parse,
-    substitute,
 )
 from .matcalc import (
     FMatrix,
@@ -78,8 +76,6 @@ __all__ = [
     "ParseError",
     "PoleError",
     "parse",
-    "substitute",
-    "evaluate",
     "FMatrix",
     "RankDropWarning",
     "SingularMatrixError",

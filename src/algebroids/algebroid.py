@@ -3,7 +3,7 @@
 A model consists of an anchor matrix rho (rows indexed by the frame,
 columns by the base coordinates), structure functions C^gamma_{alpha
 beta} expressing the brackets of frame sections, and two base
-diffeomorphisms h and eta that twist how sections differentiate
+diffeomorphisms h and eta.  Only h twists how sections differentiate
 functions:
 
     a(u)(f) = u^alpha * rho[alpha][i] * (d(f o h)/dx^i) o h^-1.
@@ -11,6 +11,8 @@ functions:
 By the chain rule this is u^alpha * theta[alpha][j] * df/dx^j with
 theta = rho * (Dh)^t o h^-1, so a model twisted by h is the ordinary
 anchored model with anchor theta; the constructor derives theta once.
+eta must map the base chart to itself like h; it is stored and
+compared, and only is_classical reads it.
 
 The bracket of arbitrary sections is the Leibniz extension of the
 frame brackets:
@@ -138,10 +140,6 @@ class AlgebroidModel(Record):
         if eta is None:
             eta = identity_map(bundle.base)
         return cls(bundle, anchor, h, eta, cube)
-
-    def c(self, gamma, alpha, beta):
-        """C^gamma_{alpha beta}, 0-based indices."""
-        return self.structure[alpha][beta][gamma]
 
     def is_classical(self):
         return self.h.is_identity() and self.eta.is_identity()
@@ -360,9 +358,6 @@ class BulletInstance(Record):
     @property
     def bundle(self):
         return self.model.bundle
-
-    def derivation(self, coeffs):
-        return self.bundle.section(coeffs)
 
 
 def bullet_rho(inst, x, f):

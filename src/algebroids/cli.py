@@ -200,11 +200,12 @@ def _cmd_pinv(args):
     except SingularMatrixError as err:
         report.add(name, False, str(err))
         return report, None
+    text = str(left)
     if matmul(left, mat) == FMatrix.identity(mat.ncols):
-        report.add(name, True, str(left))
+        report.add(name, True, text)
     else:
         report.add(name, False, "product with %s is not the identity" % args.matrix)
-    return report, str(left)
+    return report, text
 
 
 def _cmd_simulate(args):

@@ -141,7 +141,6 @@ class _Loader:
         self.control = None
         self.controls = None
         self.simulate = None
-        self.el_block = None
         self.seed = 0
         self.samples = 20
 

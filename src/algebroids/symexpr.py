@@ -36,8 +36,6 @@ __all__ = [
     "ParseError",
     "PoleError",
     "parse",
-    "substitute",
-    "evaluate",
     "compile_expr",
 ]
 
@@ -113,6 +111,11 @@ def _pmul(p, q):
         return q
     if _pisone(q):
         return p
+    if len(p) * len(q) > MAX_TERM_PAIRS:
+        raise ExprError(
+            "a product of %d by %d terms is over the budget of %d term pairs"
+            % (len(p), len(q), MAX_TERM_PAIRS)
+        )
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -373,6 +376,8 @@ def _zheu(p, q, i):
 
 def _zgcd(p, q):
     """Gcd in Z[x] of two nonzero integer polys, integer content included, lead > 0."""
+    if _pisconst(p) or _pisconst(q):
+        return {(0,) * len(next(iter(p))): math.gcd(_zcontent(p), _zcontent(q))}
     ip, iq = _zcontent(p), _zcontent(q)
     g0 = math.gcd(ip, iq)
     if ip != 1:
@@ -428,13 +433,6 @@ def _zprs(p, q, i):
             h = _pdivexact(_ppow(g, delta), _ppow(h, delta - 1))
 
 
-def _pgcd(p, q):
-    """The gcd of two nonzero polys in Z[x], integer content included, lead > 0."""
-    if _pisconst(p) or _pisconst(q):
-        return {(0,) * len(next(iter(p))): math.gcd(_zcontent(p), _zcontent(q))}
-    return _zgcd(p, q)
-
-
 # ---------------------------------------------------------------------------
 # Expr
 
@@ -445,22 +443,17 @@ def _expr(variables, num, den):
     object.__setattr__(e, "vars", variables)
     object.__setattr__(e, "num", num)
     object.__setattr__(e, "den", den)
-    object.__setattr__(e, "_hash", None)
     return e
 
 
 def _canon(variables, num, den, reduced=False):
+    """The canonical Expr of num/den; variables must already be sorted and distinct."""
     if not den:
         raise PoleError("denominator is identically zero")
     if not num:
         return ZERO
-    if any(variables[i] >= variables[i + 1] for i in range(len(variables) - 1)):
-        order = sorted(range(len(variables)), key=lambda i: variables[i])
-        variables = tuple(variables[i] for i in order)
-        num = {tuple(m[i] for i in order): c for m, c in num.items()}
-        den = {tuple(m[i] for i in order): c for m, c in den.items()}
     if not reduced and not _pisone(den):
-        g = _pgcd(num, den)
+        g = _zgcd(num, den)
         if not _pisone(g):
             num = _pdivexact(num, g)
             den = _pdivexact(den, g)
@@ -516,7 +509,7 @@ class Expr:
     arithmetic operators, diff() and subs() do the rest.
     """
 
-    __slots__ = ("vars", "num", "den", "_hash")
+    __slots__ = ("vars", "num", "den")
 
     def __init__(self):
         raise TypeError("use parse(), Expr.variable() or Expr.constant()")
@@ -597,10 +590,10 @@ class Expr:
         if not (_pisone(d1) and _pisone(d2)):
             # Cross-cancel: each side is reduced, so removing
             # gcd(n1, d2) and gcd(n2, d1) leaves a reduced product.
-            g = _pgcd(n1, d2)
+            g = _zgcd(n1, d2)
             if not _pisone(g):
                 n1, d2 = _pdivexact(n1, g), _pdivexact(d2, g)
-            g = _pgcd(n2, d1)
+            g = _zgcd(n2, d1)
             if not _pisone(g):
                 n2, d1 = _pdivexact(n2, g), _pdivexact(d1, g)
         return _canon(variables, _pmul(n1, n2), _pmul(d1, d2), reduced=True)
@@ -616,10 +609,10 @@ class Expr:
         if not self.num:
             return ZERO
         variables, n1, d1, n2, d2 = _align(self, other)
-        g = _pgcd(n1, n2)
+        g = _zgcd(n1, n2)
         if not _pisone(g):
             n1, n2 = _pdivexact(n1, g), _pdivexact(n2, g)
-        g = _pgcd(d2, d1)
+        g = _zgcd(d2, d1)
         if not _pisone(g):
             d2, d1 = _pdivexact(d2, g), _pdivexact(d1, g)
         return _canon(variables, _pmul(n1, d2), _pmul(d1, n2), reduced=True)
@@ -719,17 +712,9 @@ class Expr:
         )
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(
-                (
-                    self.vars,
-                    tuple(sorted(self.num.items())),
-                    tuple(sorted(self.den.items())),
-                )
-            )
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(
+            (self.vars, tuple(sorted(self.num.items())), tuple(sorted(self.den.items())))
+        )
 
     def __bool__(self):
         return bool(self.num)
@@ -809,10 +794,13 @@ def _name_ok(name):
 #   atom   := integer | variable | "(" expr ")"
 #
 # Parentheses and signs nest by recursion, so their depth is capped;
-# exponents are capped too, before any power is taken.
+# exponents are capped too, before any power is taken.  A short text can
+# still ask for a huge product, such as (x1+x2+x3+1)^60, so _pmul
+# refuses one of more than MAX_TERM_PAIRS pairs of terms.
 
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
+MAX_TERM_PAIRS = 4_000_000
 
 
 def _tokenize(text):
@@ -950,16 +938,6 @@ def parse(text, variables):
     if end[0] != "end":
         raise ParseError("unexpected %r" % end[1], end[2])
     return value
-
-
-def substitute(e, mapping):
-    """Compose e with the given variable replacements."""
-    return e.subs(mapping)
-
-
-def evaluate(e, point):
-    """Exact Fraction value of e at the point."""
-    return e.evaluate(point)
 
 
 # Terms per statement in compiled code: one long + chain overflows

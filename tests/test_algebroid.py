@@ -276,8 +276,8 @@ def test_bullet_instance_shape_checked():
 def test_bullet_rho_and_apply_values():
     inst = _plane_instance([["1", "0"], ["0", "1"]])
     n = inst.chart.coords
-    x = inst.derivation(["x2", "1"])
-    y = inst.derivation(["x1*x2", "x1"])
+    x = inst.bundle.section(["x2", "1"])
+    y = inst.bundle.section(["x1*x2", "x1"])
     f = parse("x1*x2", n)
     assert bullet_rho(inst, x, f) == parse("x2^2 + x1", n)
     assert bullet_apply(inst, x, y, f) == parse("x2^3 + 4*x1*x2", n)
@@ -285,8 +285,8 @@ def test_bullet_rho_and_apply_values():
 
 def test_bullet_bracket_identity_rho_is_lie_bracket():
     inst = _plane_instance([["1", "0"], ["0", "1"]])
-    x = inst.derivation(["x2", "1"])
-    y = inst.derivation(["x1*x2", "x1"])
+    x = inst.bundle.section(["x2", "1"])
+    y = inst.bundle.section(["x1*x2", "x1"])
     assert str(bullet_bracket(inst, x, y)) == "(x2^2)*dx1 + (x2)*dx2"
 
 
@@ -296,8 +296,8 @@ def test_bullet_bracket_identity_rho_random():
     names = inst.chart.coords
     rng = random.Random(4103)
     for _ in range(10):
-        x = inst.derivation([random_poly(rng, names) for _ in names])
-        y = inst.derivation([random_poly(rng, names) for _ in names])
+        x = inst.bundle.section([random_poly(rng, names) for _ in names])
+        y = inst.bundle.section([random_poly(rng, names) for _ in names])
         got = bullet_bracket(inst, x, y)
         for i, name in enumerate(names):
             want = sum(
@@ -317,8 +317,8 @@ def test_bullet_bracket_leibniz_random():
     for _ in range(8):
         rows = [[random_poly(rng, names, degree=1, terms=2) for _ in names] for _ in names]
         inst = BulletInstance(Chart("plane", names), FMatrix(rows))
-        x = inst.derivation([random_poly(rng, names) for _ in names])
-        y = inst.derivation([random_poly(rng, names) for _ in names])
+        x = inst.bundle.section([random_poly(rng, names) for _ in names])
+        y = inst.bundle.section([random_poly(rng, names) for _ in names])
         f = random_poly(rng, names, degree=2, terms=3)
         lhs = bullet_bracket(inst, x, f * y)
         rhs = f * bullet_bracket(inst, x, y) + bullet_rho(inst, x, f) * y
@@ -330,7 +330,7 @@ def test_bullet_bracket_alternating():
     names = inst.chart.coords
     rng = random.Random(4105)
     for _ in range(6):
-        x = inst.derivation([random_poly(rng, names) for _ in names])
+        x = inst.bundle.section([random_poly(rng, names) for _ in names])
         f = random_poly(rng, names)
         z = bullet_bracket(inst, f * x, f * x)
         assert all(c.is_zero() for c in z.coeffs)
@@ -350,3 +350,12 @@ def test_check_bullet_jacobi_twisted_fails():
     rep = check_bullet_jacobi(inst)
     assert not rep.all_passed
     assert rep.item("jacobi").witnesses == ("cycle on (dx1,dx2,(x1)*dx1) leaves -dx1",)
+
+
+def test_check_bullet_jacobi_reads_every_coordinate():
+    # the anchor defect -[d1, x1*d2] = -d2 vanishes on x1 and not on x2,
+    # so only the cycle that multiplies by x2 finds the failure
+    inst = _plane_instance([["1", "0"], ["0", "x1"]])
+    rep = check_bullet_jacobi(inst)
+    assert not rep.all_passed
+    assert rep.item("jacobi").witnesses == ("cycle on (dx1,dx2,(x2)*dx1) leaves dx1",)

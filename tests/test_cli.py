@@ -428,6 +428,19 @@ def test_huge_exponent_exits_three(tmp_path, capsys):
     )
 
 
+def test_product_over_term_budget_exits_three(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path, "[chart]\ncoords = x1, x2, x3\n\n[matrix R]\nrows = [(x1+x2+x3+1)^60]\n"
+    )
+    assert run(["pinv", "--scenario", path, "--matrix", "R"]) == (3, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 5, [matrix R]: a product of 4495 by 6545 terms "
+        "is over the budget of 4000000 term pairs\n"
+    )
+
+
 def test_overlong_integer_literal_exits_three(tmp_path, capsys):
     path = write_scenario(
         tmp_path, "[chart]\ncoords = x1\n\n[matrix R]\nrows = [x1 + %s]\n" % ("5" * 5000)
@@ -524,7 +537,7 @@ FUZZ_COMMANDS = (
 )
 FUZZ_JUNK = (
     "]", "[", "1/0", "((", "x^", "=", ",", "xt1^", "^2", "^1001", "/", "/xt1", "0*", "-",
-    "0", "C[", "9" * 5000, "10^400*",
+    "0", "C[", "9" * 5000, "10^400*", "(xt1+xt2+xt3+1)^60", "horizon = 10000000",
 )
 
 
