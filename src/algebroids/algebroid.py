@@ -211,30 +211,24 @@ def _random_section(rng, bundle):
 
 
 def check_axioms(model, seed=0, samples=20):
-    """Check antisymmetry, Jacobi, Leibniz and the anchor-morphism rule.
+    """Report antisymmetry, Jacobi, Leibniz and the anchor-morphism rule.
 
-    Frame elements are checked exhaustively and exactly; since the
-    bracket is the Leibniz extension of the frame brackets and every
-    check is linear over sums, frame checks plus the Leibniz rule carry
-    the axioms to all sections.  Random non-frame sections (seeded) are
-    spot-checked on top of that.
+    The constructor refuses a cube that is not antisymmetric, and the
+    bracket is the Leibniz extension of the frame brackets, so Leibniz
+    passes with no check.  Exact checks and seeded draws, in this order,
+    decide the rest: [u,u] = 0 on `samples` random sections; the Jacobi
+    cycle on every frame triple, then on max(2, samples // 4) random
+    triples up to the first failure; a([t_a,t_b]) = [a(t_a), a(t_b)]
+    for a < b on each coordinate function and on samples // 4 random
+    polynomials.  The anchor defect is tensorial, so frame pairs decide
+    it for all sections.
     """
     rng = random.Random(seed)
     bundle = model.bundle
-    r = bundle.rank
     coords = bundle.base.coords
-    frames = [bundle.frame_section(i) for i in range(r)]
     items = []
 
     witnesses = []
-    for a in range(r):
-        for b in range(r):
-            for g in range(r):
-                if model.structure[a][b][g] != -model.structure[b][a][g]:
-                    witnesses.append(
-                        "C^%d_{%d,%d} + C^%d_{%d,%d} != 0"
-                        % (g + 1, a + 1, b + 1, g + 1, b + 1, a + 1)
-                    )
     for _ in range(samples):
         u = _random_section(rng, bundle)
         if not bracket(model, u, u).is_zero():
@@ -253,60 +247,23 @@ def check_axioms(model, seed=0, samples=20):
             break
     items.append(CheckResult("jacobi", not witnesses, tuple(witnesses)))
 
+    items.append(CheckResult("leibniz", True))
+
     witnesses = []
     fs = [Expr.variable(c) for c in coords]
     fs += [_random_poly(rng, coords) for _ in range(samples // 4)]
-    for a in range(r):
-        for b in range(r):
-            for f in fs:
-                lhs = bracket(model, frames[a], f * frames[b])
-                rhs = f * bracket(model, frames[a], frames[b]) + anchor_derivation(
-                    model, frames[a], f
-                ) * frames[b]
-                if not (lhs - rhs).is_zero():
-                    witnesses.append(
-                        "[%s, f*%s] breaks Leibniz for f = %s"
-                        % (bundle.frame[a], bundle.frame[b], f)
-                    )
-    for _ in range(max(2, samples // 4)):
-        u, v = _random_section(rng, bundle), _random_section(rng, bundle)
-        f = _random_poly(rng, coords)
-        residual = (
-            bracket(model, u, f * v)
-            - f * bracket(model, u, v)
-            - anchor_derivation(model, u, f) * v
-        )
-        if not residual.is_zero():
-            witnesses.append("Leibniz fails on random sections, residual %s" % residual)
-            break
-    items.append(CheckResult("leibniz", not witnesses, tuple(witnesses)))
-
-    witnesses = []
-    for a in range(r):
-        for b in range(a + 1, r):
-            lie = bracket(model, frames[a], frames[b])
-            for f in fs:
-                lhs = anchor_derivation(model, lie, f)
-                rhs = anchor_derivation(
-                    model, frames[a], anchor_derivation(model, frames[b], f)
-                ) - anchor_derivation(
-                    model, frames[b], anchor_derivation(model, frames[a], f)
+    for a, b in combinations(range(bundle.rank), 2):
+        ta, tb = bundle.frame_section(a), bundle.frame_section(b)
+        lie = bracket(model, ta, tb)
+        for f in fs:
+            lhs = anchor_derivation(model, lie, f)
+            rhs = anchor_derivation(model, ta, anchor_derivation(model, tb, f))
+            rhs = rhs - anchor_derivation(model, tb, anchor_derivation(model, ta, f))
+            if lhs != rhs:
+                witnesses.append(
+                    "a([%s,%s]) and the commutator differ on f = %s: %s vs %s"
+                    % (bundle.frame[a], bundle.frame[b], f, lhs, rhs)
                 )
-                if lhs != rhs:
-                    witnesses.append(
-                        "a([%s,%s]) and the commutator differ on f = %s: %s vs %s"
-                        % (bundle.frame[a], bundle.frame[b], f, lhs, rhs)
-                    )
-    for _ in range(max(2, samples // 4)):
-        u, v = _random_section(rng, bundle), _random_section(rng, bundle)
-        f = _random_poly(rng, coords)
-        lhs = anchor_derivation(model, bracket(model, u, v), f)
-        rhs = anchor_derivation(
-            model, u, anchor_derivation(model, v, f)
-        ) - anchor_derivation(model, v, anchor_derivation(model, u, f))
-        if lhs != rhs:
-            witnesses.append("anchor-morphism fails on random sections for f = %s" % f)
-            break
     items.append(CheckResult("anchor-morphism", not witnesses, tuple(witnesses)))
 
     return Report(items)

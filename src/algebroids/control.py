@@ -12,6 +12,7 @@ RK4 grid).
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property
 
@@ -189,10 +190,18 @@ class Trajectory(Record):
 
 
 def step_count(horizon, dt):
-    """Number of RK4 steps in horizon: both positive, horizon/dt whole, at most _MAX_STEPS."""
+    """Number of RK4 steps in horizon, at most _MAX_STEPS.
+
+    horizon and dt must be positive, horizon/dt whole, horizon within
+    float range, and dt must not round to 0.0 as a float.
+    """
     horizon, dt = Fraction(horizon), Fraction(dt)
     if horizon <= 0 or dt <= 0:
         raise ValueError("horizon and dt must be positive")
+    if horizon > sys.float_info.max:
+        raise ValueError("horizon is beyond float range")
+    if not float(dt):
+        raise ValueError("dt is below float range: it rounds to 0.0")
     steps = horizon / dt
     if steps.denominator != 1:
         raise ValueError(

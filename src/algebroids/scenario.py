@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 from fractions import Fraction
 
 from ._record import Record
@@ -33,7 +34,7 @@ from .algebroid import AlgebroidModel
 from .bundle import Bundle, Chart, GeometryError, make_coord_map
 from .control import ControlSystem, ELProblem, RegularityError, step_count
 from .matcalc import FMatrix
-from .symexpr import ExprError, ParseError, parse as parse_expr
+from .symexpr import MAX_DIGITS, ExprError, ParseError, parse as parse_expr
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario"]
 
@@ -163,6 +164,10 @@ class _Loader:
     def number(self, block, piece):
         text, lineno, _ = piece
         try:
+            # Fraction builds 10**exponent, so a huge one is refused first.
+            exponent = text.upper().partition("E")[2]
+            if exponent and abs(int(exponent)) > MAX_DIGITS:
+                self.fail(block, lineno, "%r has an exponent beyond %d" % (text, MAX_DIGITS))
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
             self.fail(block, lineno, "%r is not a rational number" % text)
@@ -188,10 +193,15 @@ class _Loader:
         return tuple(part.strip() for part in pieces[0][0].split(","))
 
     def numbers(self, block, pieces):
+        """An initial state: comma-separated rationals within float range."""
         text, lineno, col = pieces[0]
-        return tuple(
-            self.number(block, (part.strip(), lineno, col)) for part in text.split(",")
-        )
+        values = []
+        for part in text.split(","):
+            value = self.number(block, (part.strip(), lineno, col))
+            if abs(value) > sys.float_info.max:
+                self.fail(block, lineno, "%r is beyond float range" % part.strip())
+            values.append(value)
+        return tuple(values)
 
     def matrix(self, block, pieces, names):
         rows = []

@@ -761,12 +761,16 @@ def _fmt_poly(variables, p):
     for mono in sorted(p, key=_grlex, reverse=True):
         c = p[mono]
         m = _fmt_mono(variables, mono)
+        try:
+            digits = str(abs(c))
+        except ValueError:  # past Python's limit on integer digits
+            raise ExprError("a coefficient has too many digits to print") from None
         if not m:
-            body = str(abs(c))
+            body = digits
         elif abs(c) == 1:
             body = m
         else:
-            body = "%s*%s" % (abs(c), m)
+            body = "%s*%s" % (digits, m)
         pieces.append((c < 0, body))
     neg, body = pieces[0]
     out = ("-" + body) if neg else body
@@ -793,13 +797,17 @@ def _name_ok(name):
 #   power  := atom ("^" integer)?
 #   atom   := integer | variable | "(" expr ")"
 #
-# Parentheses and signs nest by recursion, so their depth is capped;
-# exponents are capped too, before any power is taken.  A short text can
-# still ask for a huge product, such as (x1+x2+x3+1)^60, so _pmul
-# refuses one of more than MAX_TERM_PAIRS pairs of terms.
+# Parentheses and signs nest by recursion, so their depth is capped.
+# Exponents are capped too, and so is what a power builds: before it is
+# taken, no variable's exponent may pass MAX_EXPONENT and no
+# coefficient may pass MAX_DIGITS, the digit cap of integer literals
+# (Python's default limit on integer digits).  A short text can still
+# ask for a huge product, such as (x1+x2+x3+1)^60, so _pmul refuses one
+# of more than MAX_TERM_PAIRS pairs of terms.
 
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
+MAX_DIGITS = 4300
 MAX_TERM_PAIRS = 4_000_000
 
 
@@ -896,23 +904,28 @@ class _Parser:
     def parse_power(self):
         base = self.parse_atom()
         if self.peek()[0] == "^":
-            self.advance()
+            caret = self.advance()
             tok = self.expect("int", "a nonnegative integer exponent")
             digits = tok[1].lstrip("0") or "0"
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ParseError("exponent larger than %d" % MAX_EXPONENT, tok[2])
-            return base ** int(digits)
+            k = int(digits)
+            for p in (base.num, base.den):
+                if k * max((max(m, default=0) for m in p), default=0) > MAX_EXPONENT:
+                    raise ParseError("power gives an exponent above %d" % MAX_EXPONENT, caret[2])
+                # The largest coefficient of p^k is at most (sum |c|)^k.
+                if k * math.log10(sum(map(abs, p.values())) or 1) >= MAX_DIGITS:
+                    message = "power may give a coefficient of more than %d digits"
+                    raise ParseError(message % MAX_DIGITS, caret[2])
+            return base ** k
         return base
 
     def parse_atom(self):
         tok = self.advance()
         if tok[0] == "int":
-            try:
-                return Expr.constant(int(tok[1]))
-            except ValueError:  # past Python's limit on integer digits
-                raise ParseError(
-                    "integer literal too long (%d digits)" % len(tok[1]), tok[2]
-                ) from None
+            if len(tok[1]) > MAX_DIGITS:
+                raise ParseError("integer literal too long (%d digits)" % len(tok[1]), tok[2])
+            return Expr.constant(int(tok[1]))
         if tok[0] == "name":
             if tok[1] not in self.vars:
                 raise ParseError("unknown variable %r" % tok[1], tok[2])

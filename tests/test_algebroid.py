@@ -129,17 +129,29 @@ def test_bracket_antisymmetry_random(data):
         assert all((a + b).is_zero() for a, b in zip(lhs.coeffs, rhs.coeffs))
 
 
-def test_bracket_leibniz_random(data):
+def _rational_frame_model():
+    # e_i = (1/f) d_i, so [e1, e2] = (f_2/f^2) e1 - (f_1/f^2) e2
+    names = ("x1", "x2")
+    f = parse("2 + 3*x1^2 - x2", names)
+    zero = parse("0", names)
+    rho = FMatrix([[1 / f, zero], [zero, 1 / f]])
+    table = {(1, 1, 2): f.diff("x2") / (f * f), (2, 1, 2): -f.diff("x1") / (f * f)}
+    return AlgebroidModel.from_table(Bundle(Chart("plane", names), ("e1", "e2")), rho, table)
+
+
+# check_axioms reports Leibniz without testing it, so it is guarded here
+# on each kind of model: classical, twisted by h = s_O, rational anchor.
+@pytest.mark.parametrize("kind", ["classical", "generalized", "rational-frame"])
+def test_bracket_leibniz_random(data, kind):
+    model = _rational_frame_model() if kind == "rational-frame" else getattr(data, kind)
     rng = random.Random(4102)
-    names = data.t_chart.coords
+    names = model.bundle.base.coords
     for _ in range(8):
-        u = random_section(rng, data.frame)
-        v = random_section(rng, data.frame)
+        u = random_section(rng, model.bundle)
+        v = random_section(rng, model.bundle)
         f = random_poly(rng, names, degree=2, terms=3)
-        lhs = bracket(data.classical, u, f * v)
-        rhs = f * bracket(data.classical, u, v) + anchor_derivation(
-            data.classical, u, f
-        ) * v
+        lhs = bracket(model, u, f * v)
+        rhs = f * bracket(model, u, v) + anchor_derivation(model, u, f) * v
         assert lhs == rhs
 
 

@@ -454,6 +454,23 @@ def test_overlong_integer_literal_exits_three(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("(10^1000)^5", "line 5, [matrix R]: column 17: "
+         "power may give a coefficient of more than 4300 digits (at position 9)"),
+        ("*".join(["10^1000"] * 5), "a coefficient has too many digits to print"),
+    ],
+    ids=["power", "product"],
+)
+def test_overlong_coefficient_exits_three(tmp_path, capsys, entry, message):
+    path = write_scenario(tmp_path, "[chart]\ncoords = x1\n\n[matrix R]\nrows = [%s]\n" % entry)
+    assert run(["pinv", "--scenario", path, "--matrix", "R"]) == (3, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_non_utf8_scenario_exits_three(tmp_path, capsys):
     path = tmp_path / "latin1.scn"
     path.write_bytes(b"[chart]\ncoords = x1\n# caf\xe9\n")
@@ -537,7 +554,7 @@ FUZZ_COMMANDS = (
 )
 FUZZ_JUNK = (
     "]", "[", "1/0", "((", "x^", "=", ",", "xt1^", "^2", "^1001", "/", "/xt1", "0*", "-",
-    "0", "C[", "9" * 5000, "10^400*", "(xt1+xt2+xt3+1)^60", "horizon = 10000000",
+    "0", "C[", "9" * 5000, "10^400*", "(xt1+xt2+xt3+1)^60", "horizon = 10000000", "1e400",
 )
 
 
@@ -611,6 +628,36 @@ def test_euler_lagrange_steps_are_validated(tmp_path, capsys, horizon, dt, messa
     assert run(["euler-lagrange", "--scenario", path]) == (3, None)
     err = capsys.readouterr().err
     assert err == "error: line 11, [euler_lagrange]: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "command, old, new, message",
+    [
+        ("simulate", "x0 = 0, 0, 0", "x0 = 1e400, 0, 0",
+         "line 45, [simulate]: '1e400' is beyond float range"),
+        ("euler-lagrange", "z0 = 1, 0", "z0 = 1e400, 0",
+         "line 53, [euler_lagrange]: '1e400' is beyond float range"),
+        ("simulate", "horizon = 1\ndt = 1/1000", "horizon = 1e400\ndt = 1e399",
+         "line 44, [simulate]: horizon is beyond float range"),
+        ("simulate", "horizon = 1\ndt = 1/1000", "horizon = 1e-397\ndt = 1e-400",
+         "line 44, [simulate]: dt is below float range: it rounds to 0.0"),
+        ("simulate", "x0 = 0, 0, 0", "x0 = 1e10000000, 0, 0",
+         "line 45, [simulate]: '1e10000000' has an exponent beyond 4300"),
+    ],
+    ids=["x0", "z0", "horizon", "dt", "exponent"],
+)
+def test_numbers_past_float_range_exit_three(tmp_path, capsys, command, old, new, message):
+    from algebroids.scenario import BUNDLED_SCENARIO
+
+    with open(BUNDLED_SCENARIO, encoding="utf-8") as f:
+        text = f.read()
+    assert text.count(old) == 1
+    path = tmp_path / "case.scn"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    assert run([command, "--scenario", str(path)]) == (3, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
 
 
 @pytest.mark.parametrize(

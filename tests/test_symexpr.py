@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,36 @@ def test_parse_caps_exponents(monkeypatch):
         with pytest.raises(ParseError, match="exponent larger than %d" % k) as info:
             parse(text, XY)
         assert info.value.position == text.index("^") + 1
+
+
+def test_parse_caps_what_a_power_builds():
+    from algebroids.symexpr import MAX_DIGITS, MAX_EXPONENT
+
+    assert parse("(x1^500)^2", XY) == Expr.variable("x1") ** MAX_EXPONENT
+    assert parse("(10^859)^5", XY) == Expr.constant(10**4295)
+    exponent = "power gives an exponent above %d" % MAX_EXPONENT
+    digits = "power may give a coefficient of more than %d digits" % MAX_DIGITS
+    for text, message, caret in [
+        ("(x1^500)^3", exponent, 8),
+        ("(1/x2^600)^2", exponent, 10),
+        ("((x1+2)^1000)^3", exponent, 13),
+        ("(10^860)^5", digits, 8),
+        ("(10^1000)^5", digits, 9),
+        ("(x1/10^1000)^5", digits, 12),
+        ("((10^1000)^1000)^10", digits, 10),
+    ]:
+        with pytest.raises(ParseError, match=re.escape(message)) as info:
+            parse(text, XY)
+        assert info.value.position == caret
+        assert text[caret] == "^"
+
+
+def test_printing_a_coefficient_past_the_digit_limit():
+    # A product of literals is not capped; printing it is refused.
+    big = parse("*".join(["10^1000"] * 5), XY)
+    assert big == Expr.constant(10**5000)
+    with pytest.raises(ExprError, match="too many digits to print"):
+        str(big)
 
 
 def test_products_are_capped_by_term_pairs(monkeypatch):

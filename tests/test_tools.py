@@ -30,12 +30,16 @@ def test_compare_outputs_names_each_differing_case(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(compare_outputs, "SEEDS", ())
 
     assert compare_outputs.main([str(parent), str(parent)]) == 0
-    assert capsys.readouterr().out == "0 of 12 cases differ\n"
+    assert capsys.readouterr().out == "0 of 28 cases differ\n"
     assert compare_outputs.main([str(parent), str(change)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "differs: pinv --matrix R (stdout)",
         "differs: pinv --matrix R --out (out)",
         "differs: pinv --matrix R --json (stdout)",
         "differs: pinv --matrix R --json --out (out)",
-        "4 of 12 cases differ",
+        "differs: twisted pinv --matrix R (stdout)",
+        "differs: twisted pinv --matrix R --out (out)",
+        "differs: twisted pinv --matrix R --json (stdout)",
+        "differs: twisted pinv --matrix R --json --out (out)",
+        "8 of 28 cases differ",
     ]

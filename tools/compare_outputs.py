@@ -6,10 +6,12 @@ PARENT and CHANGE are the roots of two checkouts.  Each one runs its
 cases in a fresh interpreter of its own, importing `algebroids` from
 its own `src/`; a case is one `algebroids.cli.run` call, and the tool
 compares its stdout, its stderr, the bytes it wrote to `--out` and its
-exit status.  The cases are every subcommand on the bundled scenario
-and every operation that `perfbench/gen.py` generates for the four
-benchmark workloads at seeds 1, 2 and 7, rounds 0 and 1, each as text
-and with `--json`, to stdout and to `--out`.  Both sides read the same
+exit status.  The cases are every subcommand on the bundled scenario;
+`check`, `compose`, `pinv` and `simulate` on a twisted copy of it, whose
+model has base map h = s_O and so fails `check`; and every operation
+that `perfbench/gen.py` generates for the four benchmark workloads at
+seeds 1, 2 and 7, rounds 0 and 1.  Each runs as text and with `--json`,
+to stdout and to `--out`.  Both sides read the same
 scenario files and write the same `--out` path, so a path in a message
 is no difference.
 
@@ -40,6 +42,7 @@ BUNDLED = (
     ("euler-lagrange",),
     ("verify-paper",),
 )
+TWISTED = (("check",), ("compose",), ("pinv", "--matrix", "R"), ("simulate",))
 BUNDLED_FILE = Path("src", "algebroids", "scenarios", "worked_example.scn")
 
 # The child's side: import the checkout's cli and run each case in turn.
@@ -49,6 +52,18 @@ _WORKER = (
 )
 
 
+def twisted(bundled):
+    """The bundled scenario with h = s_O and without its [euler_lagrange] block.
+
+    A twisted model has no Lagrange flow, so the block would stop every
+    subcommand at load.
+    """
+    start = bundled.index("[euler_lagrange]")
+    text = bundled[:start] + bundled[bundled.index("\n[", start) + 1 :]
+    s_o = bundled[bundled.index("[map s_O]") :].split("\n\n")[0]
+    return text + "\n" + s_o.replace("[map s_O]", "[map h]") + "\n"
+
+
 def cases(parent, workdir):
     """(name, argv) pairs of every case; scenario files go into workdir."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -56,6 +71,11 @@ def cases(parent, workdir):
 
     bundled = (Path(parent) / BUNDLED_FILE).read_text(encoding="utf-8")
     commands = [(" ".join(argv), list(argv)) for argv in BUNDLED]
+    path = Path(workdir, "twisted.scn")
+    path.write_text(twisted(bundled), encoding="utf-8")
+    for command, *rest in TWISTED:
+        name = " ".join(["twisted", command, *rest])
+        commands.append((name, [command, "--scenario", str(path), *rest]))
     for workload in gen.WORKLOADS:
         for seed in SEEDS:
             for index in ROUNDS:
